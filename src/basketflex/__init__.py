@@ -34,6 +34,7 @@ from .ingest import (
     load_expenditures,
     load_prices,
     load_weights,
+    read_expenditure_panel,
 )
 from .periods import Month, month_range
 from .synth import (
@@ -101,6 +102,7 @@ __all__ = [
     "monthly_inflation",
     "normalize_weights",
     "oracle_adjusted_weights",
+    "read_expenditure_panel",
     "run_fixed_weight",
     "run_scenario",
     "weighting_bias",

@@ -137,6 +137,11 @@ class RunManifest:
             return
         if not self.base_months:
             raise BasketflexError("no base months given (flag or manifest)")
+        repeated = sorted({m for m in self.base_months if self.base_months.count(m) > 1})
+        if repeated:
+            raise BasketflexError(
+                f"base month listed more than once: {', '.join(map(str, repeated))}"
+            )
         if not self.formats:
             raise BasketflexError("no output formats selected")
         bad = set(self.formats) - {"csv", "json"}
@@ -232,11 +237,10 @@ def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
 def _load_inputs(m: RunManifest):
     weights = _load(ingest.load_weights, m.weights)
     prices = _load(ingest.load_prices, m.prices)
-    records = _load(
-        lambda p: ingest.load_expenditures(p, allow_negative=m.allow_negative_amounts),
+    panel = _load(
+        lambda p: ingest.read_expenditure_panel(p, allow_negative=m.allow_negative_amounts),
         m.expenditures,
     )
-    panel = ingest.aggregate_daily(records, allow_negative=m.allow_negative_amounts)
     spec = _load(crosswalk.load_spec, m.crosswalk)
     return weights, prices, panel, spec
 

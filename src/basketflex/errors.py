@@ -94,8 +94,10 @@ class SpecInvalidError(BasketflexError):
 
 
 class MalformedRecordError(BasketflexError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    """A record failed validation; ``line`` is None when it was never in a file."""
+
+    def __init__(self, line: int | None, reason: str):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
         self.line = line
         self.reason = reason
 

@@ -1,10 +1,17 @@
 """Loading, validation and monthly aggregation of the three input files.
 
-File schemas (UTF-8, header row required, ``#`` comment lines permitted):
+File schemas (UTF-8, optionally with a byte-order mark; header row
+required; ``#`` comment lines and blank lines permitted between records;
+quoted fields may contain commas and newlines):
 
 * ``expenditures.csv`` — ``date (ISO-8601), category, amount (decimal)``
 * ``weights.csv``      — ``item, weight``
 * ``prices.csv``       — ``item, period (YYYY-MM), relative (decimal factor)``
+
+Each file is read in one pass by one CSV reader, and every error names the
+line its record starts on. :func:`read_expenditure_panel` folds daily
+expenditure records straight into (category, month) cells, so its memory
+is bounded by the cells rather than the records.
 
 Monetary amounts are parsed as exact decimal strings and accumulated in a
 high-precision decimal context, so aggregation is permutation-invariant;
@@ -15,12 +22,13 @@ and re-loaded bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
 from typing import Iterable, Iterator
 
@@ -48,13 +56,18 @@ WEIGHT_SUM_WARN = 1e-6
 WEIGHT_SUM_ERROR = 1e-2
 
 _PREC = 50
+_ZERO = Decimal(0)
 
 
 @dataclass(frozen=True)
 class DailyExpenditureRecord:
+    """One day's spending in one category; ``line`` is the file line it was
+    read from, or None for a record built in memory."""
+
     date: dt.date
     category: CategoryId
     amount: Decimal
+    line: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.amount.is_finite():
@@ -119,39 +132,62 @@ def aggregate_daily(
 ) -> ExpenditurePanel:
     """Sum daily records into calendar-month totals.
 
-    The panel spans min..max record date; months inside the span with no
-    records at all raise a GapWarning and are filled with zeros. Negative
-    amounts (refunds, chargebacks) are rejected unless ``allow_negative``;
-    even then each monthly total must come out non-negative.
+    The panel spans the months of the earliest to the latest record date;
+    months inside the span with no records at all raise a GapWarning and are
+    filled with zeros. Negative amounts (refunds, chargebacks) are rejected
+    unless ``allow_negative``; even then each monthly total must come out
+    non-negative. A rejected record names its file line when it was read
+    from a file.
     """
-    sums: dict[tuple[CategoryId, Month], Decimal] = {}
-    months_seen: set[Month] = set()
-    first: dt.date | None = None
-    last: dt.date | None = None
+    return _fold(((r.line, r.date, r.category, r.amount) for r in records), allow_negative)
+
+
+def read_expenditure_panel(path, allow_negative: bool = False) -> ExpenditurePanel:
+    """Read ``expenditures.csv`` straight into monthly totals in one pass.
+
+    Equivalent to ``aggregate_daily(load_expenditures(path, allow_negative),
+    allow_negative)`` with the same checks, errors and warnings, but no
+    record list is built: memory is bounded by the category-month cells.
+    """
+    with _table(path, _EXPENDITURE_HEADER) as rows:
+        return _fold(_expenditure_rows(rows), allow_negative)
+
+
+def _fold(
+    rows: Iterable[tuple[int | None, dt.date, CategoryId, Decimal]], allow_negative: bool
+) -> ExpenditurePanel:
+    """Accumulate (line, date, category, amount) rows into a panel.
+
+    Cells are keyed by month index and ``Month`` objects are built once per
+    month at the end, because hashing a dataclass per row dominates the loop.
+    """
+    sums: dict[tuple[CategoryId, int], Decimal] = {}
+    month_of: dict[dt.date, int] = {}
     with localcontext() as ctx:
         ctx.prec = _PREC
-        for rec in records:
-            if rec.amount < 0 and not allow_negative:
+        for line, date, category, amount in rows:
+            if amount < _ZERO and not allow_negative:
                 raise MalformedRecordError(
-                    0, f"negative amount {rec.amount} for {rec.category!r} on {rec.date}"
+                    line, f"negative amount {amount} for {category!r} on {date}"
                 )
-            m = Month.of_date(rec.date)
-            key = (rec.category, m)
-            sums[key] = sums.get(key, Decimal(0)) + rec.amount
-            months_seen.add(m)
-            first = rec.date if first is None or rec.date < first else first
-            last = rec.date if last is None or rec.date > last else last
-    if first is None:
+            m = month_of.get(date)
+            if m is None:
+                m = month_of[date] = Month.of_date(date).index
+            key = (category, m)
+            sums[key] = sums.get(key, _ZERO) + amount
+    if not sums:
         raise EmptyInputError("no expenditure records")
-    months = month_range(Month.of_date(first), Month.of_date(last))
-    empty = [m for m in months if m not in months_seen]
+    seen = {m for _, m in sums}
+    months = month_range(Month.from_index(min(seen)), Month.from_index(max(seen)))
+    empty = [m for m in months if m.index not in seen]
     if empty:
         warnings.warn(
             f"no records in {', '.join(str(m) for m in empty)}; totals set to 0",
             GapWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return ExpenditurePanel(months, sums)
+    by_index = {m.index: m for m in months}
+    return ExpenditurePanel(months, {(c, by_index[m]): v for (c, m), v in sums.items()})
 
 
 def base_period(
@@ -189,12 +225,53 @@ def base_period(
 
 # --- CSV plumbing ----------------------------------------------------------
 
+_EXPENDITURE_HEADER = ("date", "category", "amount")
 
-def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        yield lineno, next(csv.reader([raw]))
+
+def _csv_records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each record of a CSV text stream.
+
+    One reader parses the whole stream, so a quoted field may span lines; a
+    record carries the number of the line it starts on. Between records,
+    blank lines and lines whose first non-blank character is ``#`` are
+    skipped.
+    """
+    start = 0
+
+    def record_lines() -> Iterator[str]:
+        nonlocal start
+        for lineno, raw in enumerate(lines, start=1):
+            if not start:
+                head = raw.lstrip()
+                if not head or head[0] == "#":
+                    continue
+                start = lineno
+            yield raw
+
+    try:
+        for row in csv.reader(record_lines()):
+            yield start, row
+            start = 0
+    except csv.Error as exc:
+        raise MalformedRecordError(start, str(exc))
+
+
+@contextlib.contextmanager
+def _table(source, header: tuple[str, ...]) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """Open a CSV input (a path or a text stream), check its header row and
+    give the data records. Paths are read as UTF-8 with an optional BOM."""
+    if hasattr(source, "read"):
+        opened = contextlib.nullcontext(source)
+    else:
+        opened = open(source, encoding="utf-8-sig", newline="")
+    with opened as fh:
+        rows = _csv_records(fh)
+        try:
+            line, got = next(rows)
+        except StopIteration:
+            raise SchemaError(header[0], 0, "file is empty")
+        _check_header(got, header, line)
+        yield rows
 
 
 def _check_header(row: list[str], expected: tuple[str, ...], line: int) -> None:
@@ -205,42 +282,50 @@ def _check_header(row: list[str], expected: tuple[str, ...], line: int) -> None:
         raise SchemaError(col, line, f"expected header {','.join(expected)}")
 
 
-def _read(path_or_text) -> str:
-    if hasattr(path_or_text, "read"):
-        return path_or_text.read()
-    with open(path_or_text, encoding="utf-8") as fh:
-        return fh.read()
+def _expenditure_rows(
+    rows: Iterable[tuple[int, list[str]]],
+) -> Iterator[tuple[int, dt.date, CategoryId, Decimal]]:
+    """Validate expenditure records into (line, date, category, amount).
 
-
-def load_expenditures(path, allow_negative: bool = False) -> list[DailyExpenditureRecord]:
-    """Read daily expenditure records from ``expenditures.csv``."""
-    text = _read(path)
-    rows = _csv_rows(text)
-    try:
-        line, header = next(rows)
-    except StopIteration:
-        raise SchemaError("date", 0, "file is empty")
-    _check_header(header, ("date", "category", "amount"), line)
-    records = []
+    The sign of the amount is left to the caller. Dates repeat across
+    records, so each distinct date string is parsed once.
+    """
+    dates: dict[str, dt.date] = {}
     for line, row in rows:
         if len(row) != 3:
             raise MalformedRecordError(line, f"expected 3 fields, got {len(row)}")
-        raw_date, category, raw_amount = (f.strip() for f in row)
-        try:
-            date = dt.date.fromisoformat(raw_date)
-        except ValueError:
-            raise MalformedRecordError(line, f"bad date {raw_date!r}")
+        raw_date, category, raw_amount = row
+        date = dates.get(raw_date)
+        if date is None:
+            try:
+                date = dates[raw_date] = dt.date.fromisoformat(raw_date.strip())
+            except ValueError:
+                raise MalformedRecordError(line, f"bad date {raw_date.strip()!r}")
+        category = category.strip()
         if not category:
             raise MalformedRecordError(line, "empty category")
+        raw_amount = raw_amount.strip()
         try:
             amount = Decimal(raw_amount)
         except InvalidOperation:
             raise MalformedRecordError(line, f"bad amount {raw_amount!r}")
         if not amount.is_finite():
             raise NonFiniteAmountError(f"line {line}: non-finite amount {raw_amount!r}")
-        if amount < 0 and not allow_negative:
-            raise MalformedRecordError(line, f"negative amount {raw_amount!r}")
-        records.append(DailyExpenditureRecord(date, category, amount))
+        yield line, date, category, amount
+
+
+def load_expenditures(path, allow_negative: bool = False) -> list[DailyExpenditureRecord]:
+    """Read daily expenditure records from ``expenditures.csv``.
+
+    Prefer :func:`read_expenditure_panel` when only monthly totals are
+    needed; it applies the same checks without holding every record.
+    """
+    records = []
+    with _table(path, _EXPENDITURE_HEADER) as rows:
+        for line, date, category, amount in _expenditure_rows(rows):
+            if amount < _ZERO and not allow_negative:
+                raise MalformedRecordError(line, f"negative amount {str(amount)!r}")
+            records.append(DailyExpenditureRecord(date, category, amount, line))
     return records
 
 
@@ -251,28 +336,22 @@ def load_weights(path) -> WeightVector:
     within 1e-2 it is renormalized with a warning, beyond that it is
     rejected as WeightSumOutOfRangeError.
     """
-    text = _read(path)
-    rows = _csv_rows(text)
-    try:
-        line, header = next(rows)
-    except StopIteration:
-        raise SchemaError("item", 0, "file is empty")
-    _check_header(header, ("item", "weight"), line)
     raw: dict[ItemId, float] = {}
-    for line, row in rows:
-        if len(row) != 2:
-            raise SchemaError("weight", line, f"expected 2 fields, got {len(row)}")
-        item, value = (f.strip() for f in row)
-        if not item:
-            raise SchemaError("item", line, "empty item id")
-        if item in raw:
-            raise SchemaError("item", line, f"duplicate item {item!r}")
-        try:
-            raw[item] = float(value)
-        except ValueError:
-            raise SchemaError("weight", line, f"bad weight {value!r}")
-        if not math.isfinite(raw[item]):
-            raise SchemaError("weight", line, f"non-finite weight {value!r}")
+    with _table(path, ("item", "weight")) as rows:
+        for line, row in rows:
+            if len(row) != 2:
+                raise SchemaError("weight", line, f"expected 2 fields, got {len(row)}")
+            item, value = (f.strip() for f in row)
+            if not item:
+                raise SchemaError("item", line, "empty item id")
+            if item in raw:
+                raise SchemaError("item", line, f"duplicate item {item!r}")
+            try:
+                raw[item] = float(value)
+            except ValueError:
+                raise SchemaError("weight", line, f"bad weight {value!r}")
+            if not math.isfinite(raw[item]):
+                raise SchemaError("weight", line, f"non-finite weight {value!r}")
     if not raw:
         raise EmptyInputError("weights file has no rows")
     total = sum(raw.values())
@@ -288,34 +367,28 @@ def load_weights(path) -> WeightVector:
 
 def load_prices(path) -> dict[ItemId, PriceRelativeSeries]:
     """Read per-item month-over-month price factors from ``prices.csv``."""
-    text = _read(path)
-    rows = _csv_rows(text)
-    try:
-        line, header = next(rows)
-    except StopIteration:
-        raise SchemaError("item", 0, "file is empty")
-    _check_header(header, ("item", "period", "relative"), line)
     by_item: dict[ItemId, dict[Month, float]] = {}
-    for line, row in rows:
-        if len(row) != 3:
-            raise SchemaError("relative", line, f"expected 3 fields, got {len(row)}")
-        item, raw_period, raw_rel = (f.strip() for f in row)
-        if not item:
-            raise SchemaError("item", line, "empty item id")
-        try:
-            period = Month.parse(raw_period)
-        except ValueError:
-            raise SchemaError("period", line, f"bad period {raw_period!r}")
-        try:
-            rel = float(raw_rel)
-        except ValueError:
-            raise SchemaError("relative", line, f"bad relative {raw_rel!r}")
-        if rel <= 0:
-            raise NonPositivePriceError(item, period)
-        series = by_item.setdefault(item, {})
-        if period in series:
-            raise SchemaError("period", line, f"duplicate period {period} for {item!r}")
-        series[period] = rel
+    with _table(path, ("item", "period", "relative")) as rows:
+        for line, row in rows:
+            if len(row) != 3:
+                raise SchemaError("relative", line, f"expected 3 fields, got {len(row)}")
+            item, raw_period, raw_rel = (f.strip() for f in row)
+            if not item:
+                raise SchemaError("item", line, "empty item id")
+            try:
+                period = Month.parse(raw_period)
+            except ValueError:
+                raise SchemaError("period", line, f"bad period {raw_period!r}")
+            try:
+                rel = float(raw_rel)
+            except ValueError:
+                raise SchemaError("relative", line, f"bad relative {raw_rel!r}")
+            if rel <= 0:
+                raise NonPositivePriceError(item, period)
+            series = by_item.setdefault(item, {})
+            if period in series:
+                raise SchemaError("period", line, f"duplicate period {period} for {item!r}")
+            series[period] = rel
     if not by_item:
         raise EmptyInputError("prices file has no rows")
     return {
@@ -341,32 +414,26 @@ def panel_to_csv(panel: ExpenditurePanel) -> str:
 
 def load_panel(path) -> ExpenditurePanel:
     """Read a monthly panel written by :func:`panel_to_csv`."""
-    text = _read(path)
-    rows = _csv_rows(text)
-    try:
-        line, header = next(rows)
-    except StopIteration:
-        raise SchemaError("month", 0, "file is empty")
-    _check_header(header, ("month", "category", "amount"), line)
     totals: dict[tuple[CategoryId, Month], Decimal] = {}
     months: set[Month] = set()
-    for line, row in rows:
-        if len(row) != 3:
-            raise MalformedRecordError(line, f"expected 3 fields, got {len(row)}")
-        raw_month, category, raw_amount = (f.strip() for f in row)
-        try:
-            month = Month.parse(raw_month)
-        except ValueError:
-            raise MalformedRecordError(line, f"bad month {raw_month!r}")
-        try:
-            amount = Decimal(raw_amount)
-        except InvalidOperation:
-            raise MalformedRecordError(line, f"bad amount {raw_amount!r}")
-        key = (category, month)
-        if key in totals:
-            raise MalformedRecordError(line, f"duplicate cell {category!r} {month}")
-        totals[key] = amount
-        months.add(month)
+    with _table(path, ("month", "category", "amount")) as rows:
+        for line, row in rows:
+            if len(row) != 3:
+                raise MalformedRecordError(line, f"expected 3 fields, got {len(row)}")
+            raw_month, category, raw_amount = (f.strip() for f in row)
+            try:
+                month = Month.parse(raw_month)
+            except ValueError:
+                raise MalformedRecordError(line, f"bad month {raw_month!r}")
+            try:
+                amount = Decimal(raw_amount)
+            except InvalidOperation:
+                raise MalformedRecordError(line, f"bad amount {raw_amount!r}")
+            key = (category, month)
+            if key in totals:
+                raise MalformedRecordError(line, f"duplicate cell {category!r} {month}")
+            totals[key] = amount
+            months.add(month)
     if not totals:
         raise EmptyInputError("panel file has no rows")
     return ExpenditurePanel(month_range(min(months), max(months)), totals)

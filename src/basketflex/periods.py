@@ -33,14 +33,18 @@ class Month:
     def of_date(cls, d: dt.date) -> "Month":
         return cls(d.year, d.month)
 
+    @classmethod
+    def from_index(cls, idx: int) -> "Month":
+        """The month whose :attr:`index` is ``idx``."""
+        return cls(idx // 12, idx % 12 + 1)
+
     @property
     def index(self) -> int:
         """Months since year zero; consecutive months differ by exactly one."""
         return self.year * 12 + self.month - 1
 
     def plus(self, n: int) -> "Month":
-        idx = self.index + n
-        return Month(idx // 12, idx % 12 + 1)
+        return Month.from_index(self.index + n)
 
     def next(self) -> "Month":
         return self.plus(1)

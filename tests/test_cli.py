@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,16 @@ EXPECTED_OUTPUTS = {
     "weights.csv",
     "contributions.csv",
     "bias.csv",
+}
+
+# SHA-256 of each file `run` writes for the bundled manifest. A change that
+# alters any output byte, across versions rather than within one run, fails here.
+GOLDEN_SHA256 = {
+    "bias.csv": "d8ffe21f5c21e3012dfd5b6991b2df4b5ae911fc7d8e813ccb2637917e992de1",
+    "contributions.csv": "53a9414d5177d72f912aadf94d4a45e4eea2c1285576cc4e0f13128107a1ad90",
+    "inflation.csv": "4e40764456935169482937c70244d9c68f681dc2813bd1a24fd13e2de85b735b",
+    "scenario_result.json": "aaa36a11ca047533eb59c1b192a49327d355c23bdb17737bf0e4b44fdc134c92",
+    "weights.csv": "e76ee37c63a607a446cd79c67cbf725b02053504647709bee38f6b9ff3323f97",
 }
 
 
@@ -27,6 +38,14 @@ def test_run_bundled_manifest(example_manifest, tmp_path):
     assert doc["variant"] == "dynamic"
     assert doc["country"] == "synthetic-israel"
     assert doc["periods"][0] == "2020-02"
+
+
+def test_run_bundled_manifest_matches_golden_hashes(example_manifest, tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli("run", "--manifest", example_manifest, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == GOLDEN_SHA256
 
 
 def test_run_format_gating(example_manifest, tmp_path):
@@ -73,6 +92,40 @@ def test_run_rejects_out_of_gate_weights(example_dir, tmp_path):
     report = json.loads(proc.stderr.strip().splitlines()[-1])
     assert report["error"] == "WeightSumOutOfRangeError"
     assert report["path"].endswith("weights.csv")
+
+
+def test_run_negative_total_error_names_expenditure_file(example_dir, tmp_path):
+    ledger = tmp_path / "expenditures.csv"
+    ledger.write_text(
+        (example_dir / "expenditures.csv").read_text() + "2020-03-10,fuel,-99999999\n"
+    )
+    proc = run_cli(
+        "run", "--manifest", str(example_dir / "manifest.json"),
+        "--expenditures", str(ledger), "--allow-negative-amounts",
+        "--out", str(tmp_path / "out"),
+    )
+    assert proc.returncode == 2
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "NegativeTotalError"
+    assert report["path"].endswith("expenditures.csv")
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_run_rejects_duplicate_base_months(example_dir, tmp_path, source):
+    manifest = json.loads((example_dir / "manifest.json").read_text())
+    for key in ("weights", "prices", "expenditures", "crosswalk"):
+        manifest[key] = str(example_dir / manifest[key])
+    args = ["run", "--manifest", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out")]
+    if source == "flag":
+        args += ["--base-months", "2020-01,2020-01"]
+    else:
+        manifest["base_months"] = ["2020-01", "2020-02", "2020-01"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "BasketflexError"
+    assert "2020-01" in report["message"]
 
 
 def test_run_missing_input_file(example_manifest, tmp_path):

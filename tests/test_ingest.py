@@ -6,7 +6,7 @@ from decimal import Decimal as D
 
 import pytest
 
-from basketflex import ingest
+from basketflex import ingest, synth
 from basketflex.errors import (
     BaseMonthMissingError,
     EmptyInputError,
@@ -88,6 +88,18 @@ def test_aggregate_rejects_negative_unless_allowed():
         aggregate_daily(records)
     panel = aggregate_daily(records, allow_negative=True)
     assert panel.total("food", Month(2020, 1)) == D("6")
+
+
+def test_aggregate_negative_error_names_file_line_only_when_known():
+    with pytest.raises(MalformedRecordError) as exc:
+        aggregate_daily([rec("2020-01-05", "food", "10"), rec("2020-01-06", "food", "-4")])
+    assert exc.value.line is None
+    assert not str(exc.value).startswith("line")
+    text = "date,category,amount\n2020-01-05,food,10\n# refund\n2020-01-06,food,-4\n"
+    records = ingest.load_expenditures(io.StringIO(text), allow_negative=True)
+    with pytest.raises(MalformedRecordError) as exc:
+        aggregate_daily(records)
+    assert exc.value.line == 4
 
 
 def test_record_rejects_non_finite_amount():
@@ -233,6 +245,92 @@ def test_load_expenditures_rejects_non_finite():
     text = "date,category,amount\n2020-01-05,food,Infinity\n"
     with pytest.raises(NonFiniteAmountError):
         ingest.load_expenditures(io.StringIO(text))
+
+
+# --- reader shared by the three files -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (ingest.load_weights, "item,weight\nfood,1.0\n"),
+        (ingest.load_prices, "item,period,relative\nfood,2020-01,1.01\n"),
+        (ingest.load_expenditures, "date,category,amount\n2020-01-05,food,1\n"),
+        (ingest.read_expenditure_panel, "date,category,amount\n2020-01-05,food,1\n"),
+    ],
+)
+def test_loaders_accept_utf8_byte_order_mark(tmp_path, loader, text):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert loader(path)
+
+
+def test_quoted_field_may_span_lines():
+    text = (
+        "date,category,amount\n"
+        '2020-01-05,"food,\nstores",12.50\n'
+        "2020-01-06,fuel,1\n"
+        "not-a-date,food,1\n"
+    )
+    with pytest.raises(MalformedRecordError) as exc:
+        ingest.load_expenditures(io.StringIO(text))
+    assert exc.value.line == 5
+    records = ingest.load_expenditures(io.StringIO(text.rsplit("not-a-date", 1)[0]))
+    assert [(r.category, r.line) for r in records] == [("food,\nstores", 2), ("fuel", 4)]
+    weights = ingest.load_weights(io.StringIO('item,weight\n"a\nb",0.5\nc,0.5\n'))
+    assert weights.shares == {"a\nb": 0.5, "c": 0.5}
+
+
+def test_oversized_field_is_a_record_error():
+    text = "date,category,amount\n2020-01-05," + "x" * 200_000 + ",1\n"
+    with pytest.raises(MalformedRecordError) as exc:
+        ingest.read_expenditure_panel(io.StringIO(text))
+    assert exc.value.line == 2
+
+
+# --- single-pass panel reader -----------------------------------------------
+
+
+def _ledger_lines() -> list[str]:
+    economy = synth.SyntheticEconomySpec(
+        items=tuple(
+            synth.SyntheticItem(f"i{k}", D(1), D(10 * (k + 1))) for k in range(4)
+        ),
+        months=6,
+        start=Month(2020, 1),
+        seed=7,
+    )
+    return synth.generate(economy).expenditures_csv.splitlines()
+
+
+def test_panel_reader_matches_load_then_aggregate():
+    header, *rows = _ledger_lines()
+    rng = random.Random(5)
+    for _ in range(3):
+        rng.shuffle(rows)
+        lines = [header]
+        for row in rows:
+            lines.append(row)
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "   ", "# note, with comma", '  # "quoted']))
+        text = "\n".join(lines) + "\n"
+        expect = aggregate_daily(ingest.load_expenditures(io.StringIO(text)))
+        assert ingest.read_expenditure_panel(io.StringIO(text)) == expect
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ["2020-13-01,i0,1", "2020-01-05,,1", "2020-01-05,i0,x", "2020-01-05,i0", "2020-01-05,i0,-1"],
+)
+def test_panel_reader_reports_the_same_error_line(bad_row):
+    header, *rows = _ledger_lines()
+    lines = [header, "# comment", *rows[:40], "", bad_row, *rows[40:]]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(MalformedRecordError) as two_step:
+        aggregate_daily(ingest.load_expenditures(io.StringIO(text)))
+    with pytest.raises(MalformedRecordError) as one_pass:
+        ingest.read_expenditure_panel(io.StringIO(text))
+    assert one_pass.value.line == two_step.value.line == lines.index(bad_row) + 1
 
 
 # --- panel round trip -------------------------------------------------------
