@@ -13,14 +13,36 @@ EXPECTED_OUTPUTS = {
     "bias.csv",
 }
 
-# SHA-256 of each file `run` writes for the bundled manifest. A change that
-# alters any output byte, across versions rather than within one run, fails here.
+# SHA-256 of each file `run` writes for the bundled manifest, per run variant.
+# A change that alters any output byte, across versions rather than within one
+# run, fails here.
 GOLDEN_SHA256 = {
-    "bias.csv": "d8ffe21f5c21e3012dfd5b6991b2df4b5ae911fc7d8e813ccb2637917e992de1",
-    "contributions.csv": "53a9414d5177d72f912aadf94d4a45e4eea2c1285576cc4e0f13128107a1ad90",
-    "inflation.csv": "4e40764456935169482937c70244d9c68f681dc2813bd1a24fd13e2de85b735b",
-    "scenario_result.json": "aaa36a11ca047533eb59c1b192a49327d355c23bdb17737bf0e4b44fdc134c92",
-    "weights.csv": "e76ee37c63a607a446cd79c67cbf725b02053504647709bee38f6b9ff3323f97",
+    "default": {
+        "bias.csv": "d8ffe21f5c21e3012dfd5b6991b2df4b5ae911fc7d8e813ccb2637917e992de1",
+        "contributions.csv": "53a9414d5177d72f912aadf94d4a45e4eea2c1285576cc4e0f13128107a1ad90",
+        "inflation.csv": "4e40764456935169482937c70244d9c68f681dc2813bd1a24fd13e2de85b735b",
+        "scenario_result.json": "aaa36a11ca047533eb59c1b192a49327d355c23bdb17737bf0e4b44fdc134c92",
+        "weights.csv": "e76ee37c63a607a446cd79c67cbf725b02053504647709bee38f6b9ff3323f97",
+    },
+    "fixed-weight": {
+        "bias.csv": "369b8897650446476722d23923d58d332ac5e845e58f638f076db220a48d966c",
+        "contributions.csv": "b08fba7734766184f484bbb725649d7dd860925c298981e5ca194a45f81a019f",
+        "inflation.csv": "e4c8f899c82b81fa22c7d5f2fe3ee51a07d808b4fc7550ba886186c71c633f1c",
+        "scenario_result.json": "af42fdfcaed0ad6999e7c1d1724e293758c53e96b8cc6b7377f7959ae10007cb",
+        "weights.csv": "acffe970ae96b4a33afc5f0f7652b93c518deed86e2b088ad8c352662edf2f4d",
+    },
+    "fixed-base": {
+        "bias.csv": "48a620265d87b90a483371a3d84efc8ac7450d93741757f1f8153811aa7c81c4",
+        "contributions.csv": "53a9414d5177d72f912aadf94d4a45e4eea2c1285576cc4e0f13128107a1ad90",
+        "inflation.csv": "32309fd07f36dbd535b46b691e1a00ca50b44d359691215cfec7e89ea6627748",
+        "scenario_result.json": "2bb882d3ddcfb0973b8e5a5723fb3d05551ccdcfb0bc359a7d8823ddf3e0b60f",
+        "weights.csv": "e76ee37c63a607a446cd79c67cbf725b02053504647709bee38f6b9ff3323f97",
+    },
+}
+GOLDEN_FLAGS = {
+    "default": (),
+    "fixed-weight": ("--fixed-weight-month", "2020-04"),
+    "fixed-base": ("--annual-method", "fixed_base"),
 }
 
 
@@ -40,12 +62,15 @@ def test_run_bundled_manifest(example_manifest, tmp_path):
     assert doc["periods"][0] == "2020-02"
 
 
-def test_run_bundled_manifest_matches_golden_hashes(example_manifest, tmp_path):
+@pytest.mark.parametrize("variant", list(GOLDEN_SHA256))
+def test_run_bundled_manifest_matches_golden_hashes(example_manifest, tmp_path, variant):
     out = tmp_path / "out"
-    proc = run_cli("run", "--manifest", example_manifest, "--out", str(out))
+    proc = run_cli(
+        "run", "--manifest", example_manifest, "--out", str(out), *GOLDEN_FLAGS[variant]
+    )
     assert proc.returncode == 0, proc.stderr
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert got == GOLDEN_SHA256
+    assert got == GOLDEN_SHA256[variant]
 
 
 def test_run_format_gating(example_manifest, tmp_path):
