@@ -8,7 +8,6 @@ from .analysis import (
     ScenarioConfig,
     ScenarioResult,
     compare_countries,
-    run_fixed_weight,
     run_scenario,
 )
 from .core import (
@@ -103,7 +102,6 @@ __all__ = [
     "normalize_weights",
     "oracle_adjusted_weights",
     "read_expenditure_panel",
-    "run_fixed_weight",
     "run_scenario",
     "weighting_bias",
 ]

@@ -125,28 +125,6 @@ class ScenarioResult:
         raise PeriodNotCoveredError(self.config.country_label, period)
 
 
-def _annualized(
-    points: list[InflationPoint],
-    weights_per_point: list[WeightVector],
-    prices: Mapping[ItemId, PriceRelativeSeries],
-    method: str,
-) -> list[InflationPoint]:
-    if method == "chained":
-        return chain_annual(points)
-    out = []
-    for i, p in enumerate(points):
-        if i < 11:
-            out.append(replace(p, annual_pct=None))
-        else:
-            out.append(
-                replace(
-                    p,
-                    annual_pct=fixed_base_annual(weights_per_point[i], prices, p.period),
-                )
-            )
-    return out
-
-
 def run_scenario(
     config: ScenarioConfig,
     weights: WeightVector,
@@ -169,12 +147,10 @@ def run_scenario(
     base = ingest.base_period(panel, config.base_months, per_day=config.per_day_base)
     rel_by_month = cw.apply(spec, panel, base, per_day=config.per_day_base)
 
-    basket_prices: dict[ItemId, PriceRelativeSeries] = {}
     for item in weights.shares:
-        series = prices.get(item)
-        if series is None:
+        if item not in prices:
             raise MissingPriceRelativeError(item)
-        basket_prices[item] = series
+    basket_prices = {item: prices[item] for item in weights.shares}
     start = max(s.start for s in basket_prices.values())
     end = min(s.end for s in basket_prices.values())
     if end < start:
@@ -198,22 +174,20 @@ def run_scenario(
     core_adj_vectors = [exclude_items(v, config.core_exclusions) for v in adj_vectors]
     core_prices = {i: s for i, s in basket_prices.items() if i in core_off.shares}
 
-    official_pts = [monthly_inflation(weights, basket_prices, m) for m in axis]
-    adjusted_pts = [
-        monthly_inflation(v, basket_prices, m) for v, m in zip(adj_vectors, axis)
-    ]
-    core_off_pts = [monthly_inflation(core_off, core_prices, m) for m in axis]
-    core_adj_pts = [
-        monthly_inflation(v, core_prices, m) for v, m in zip(core_adj_vectors, axis)
-    ]
+    def priced(vectors, prices) -> list[InflationPoint]:
+        """One basket's monthly points on the axis, with their annual rates."""
+        points = [monthly_inflation(v, prices, m) for v, m in zip(vectors, axis)]
+        if config.annual_method == "chained":
+            return chain_annual(points)
+        return [
+            replace(p, annual_pct=fixed_base_annual(v, prices, p.period)) if i >= 11 else p
+            for i, (p, v) in enumerate(zip(points, vectors))
+        ]
 
-    method = config.annual_method
-    official_pts = _annualized(official_pts, off_vectors, basket_prices, method)
-    adjusted_pts = _annualized(adjusted_pts, adj_vectors, basket_prices, method)
-    core_off_pts = _annualized(
-        core_off_pts, [core_off] * len(axis), core_prices, method
-    )
-    core_adj_pts = _annualized(core_adj_pts, core_adj_vectors, core_prices, method)
+    official_pts = priced(off_vectors, basket_prices)
+    adjusted_pts = priced(adj_vectors, basket_prices)
+    core_off_pts = priced([core_off] * len(axis), core_prices)
+    core_adj_pts = priced(core_adj_vectors, core_prices)
 
     return ScenarioResult(
         config=config,
@@ -227,19 +201,6 @@ def run_scenario(
         bias=tuple(weighting_bias(official_pts, adjusted_pts)),
         core_bias=tuple(weighting_bias(core_off_pts, core_adj_pts)),
     )
-
-
-def run_fixed_weight(
-    config: ScenarioConfig,
-    weights: WeightVector,
-    prices: Mapping[ItemId, PriceRelativeSeries],
-    panel: ingest.ExpenditurePanel,
-    spec: cw.CrosswalkSpec,
-) -> ScenarioResult:
-    """Robustness variant with adjusted weights frozen at one month."""
-    if config.fixed_weight_month is None:
-        raise ValueError("config.fixed_weight_month must be set for a fixed-weight run")
-    return run_scenario(config, weights, prices, panel, spec)
 
 
 @dataclass(frozen=True)

@@ -96,12 +96,6 @@ class CrosswalkSpec:
     version: str = "1"
     notes: str = ""
 
-    def rule_for(self, item: ItemId) -> Rule | None:
-        for r in self.rules:
-            if r.target == item:
-                return r
-        return None
-
 
 def identity_spec(items: Iterable[ItemId], version: str = "identity") -> CrosswalkSpec:
     """Direct rules mapping each item to a category of the same name."""

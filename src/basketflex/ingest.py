@@ -16,8 +16,6 @@ is bounded by the cells rather than the records.
 Monetary amounts are parsed as exact decimal strings and accumulated in a
 high-precision decimal context, so aggregation is permutation-invariant;
 they are converted to binary floating point only when a ratio is taken.
-A monthly panel can also be written back out (``month, category, amount``)
-and re-loaded bit-exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -110,13 +107,6 @@ class ExpenditurePanel:
 
     def total(self, category: CategoryId, month: Month) -> Decimal:
         return self._totals[(category, month)]
-
-    def month_total(self, month: Month) -> Decimal:
-        with localcontext() as ctx:
-            ctx.prec = _PREC
-            return sum(
-                (self._totals[(c, month)] for c in self.categories), Decimal(0)
-            )
 
     def __eq__(self, other) -> bool:
         return (
@@ -395,45 +385,3 @@ def load_prices(path) -> dict[ItemId, PriceRelativeSeries]:
         item: PriceRelativeSeries.from_mapping(item, pts)
         for item, pts in by_item.items()
     }
-
-
-def panel_to_csv(panel: ExpenditurePanel) -> str:
-    """Serialize a panel as ``month, category, amount`` rows.
-
-    Amounts keep their exact decimal string, so a write/load round trip
-    reproduces the panel bit-exactly.
-    """
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["month", "category", "amount"])
-    for m in panel.months:
-        for c in panel.categories:
-            w.writerow([str(m), c, str(panel.total(c, m))])
-    return buf.getvalue()
-
-
-def load_panel(path) -> ExpenditurePanel:
-    """Read a monthly panel written by :func:`panel_to_csv`."""
-    totals: dict[tuple[CategoryId, Month], Decimal] = {}
-    months: set[Month] = set()
-    with _table(path, ("month", "category", "amount")) as rows:
-        for line, row in rows:
-            if len(row) != 3:
-                raise MalformedRecordError(line, f"expected 3 fields, got {len(row)}")
-            raw_month, category, raw_amount = (f.strip() for f in row)
-            try:
-                month = Month.parse(raw_month)
-            except ValueError:
-                raise MalformedRecordError(line, f"bad month {raw_month!r}")
-            try:
-                amount = Decimal(raw_amount)
-            except InvalidOperation:
-                raise MalformedRecordError(line, f"bad amount {raw_amount!r}")
-            key = (category, month)
-            if key in totals:
-                raise MalformedRecordError(line, f"duplicate cell {category!r} {month}")
-            totals[key] = amount
-            months.add(month)
-    if not totals:
-        raise EmptyInputError("panel file has no rows")
-    return ExpenditurePanel(month_range(min(months), max(months)), totals)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import datetime as dt
 import io
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
@@ -230,20 +229,6 @@ class GeneratedFiles:
     weights_csv: str
     prices_csv: str
     expenditures_csv: str
-
-    def write_to(self, directory) -> list[str]:
-        os.makedirs(directory, exist_ok=True)
-        written = []
-        for name, content in (
-            ("weights.csv", self.weights_csv),
-            ("prices.csv", self.prices_csv),
-            ("expenditures.csv", self.expenditures_csv),
-        ):
-            path = os.path.join(str(directory), name)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(content)
-            written.append(path)
-        return written
 
 
 def _split_exact(total: Decimal, shares: list[Decimal]) -> list[Decimal]:

@@ -59,7 +59,7 @@ def fixed_april_result(example_config, example_inputs):
 
     weights, prices, panel, spec = example_inputs
     config = dataclasses.replace(example_config, fixed_weight_month=Month(2020, 4))
-    return analysis.run_fixed_weight(config, weights, prices, panel, spec)
+    return analysis.run_scenario(config, weights, prices, panel, spec)
 
 
 def run_cli(*args: str, cwd=None, env=None) -> subprocess.CompletedProcess:

@@ -82,7 +82,7 @@ def test_fixed_weight_at_single_base_month_equals_official():
         for i, s in prices.items()
     }
     config = ScenarioConfig(base_months=(START,), fixed_weight_month=START)
-    result = analysis.run_fixed_weight(config, weights, prices, panel, spec)
+    result = analysis.run_scenario(config, weights, prices, panel, spec)
     for off, adj in zip(result.official, result.adjusted):
         assert adj.monthly_pct == pytest.approx(off.monthly_pct, abs=1e-12)
     # whereas the dynamic run genuinely moves away from the official series
@@ -99,11 +99,7 @@ def test_fixed_weight_requires_month_in_range():
     weights, prices, panel, spec = load_economy_inputs(flat_economy())
     config = ScenarioConfig(base_months=BASE, fixed_weight_month=Month(2030, 1))
     with pytest.raises(FixedMonthOutOfRangeError):
-        analysis.run_fixed_weight(config, weights, prices, panel, spec)
-    with pytest.raises(ValueError):
-        analysis.run_fixed_weight(
-            ScenarioConfig(base_months=BASE), weights, prices, panel, spec
-        )
+        analysis.run_scenario(config, weights, prices, panel, spec)
 
 
 def test_weight_paths_are_normalized_every_month():

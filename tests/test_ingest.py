@@ -331,22 +331,3 @@ def test_panel_reader_reports_the_same_error_line(bad_row):
     with pytest.raises(MalformedRecordError) as one_pass:
         ingest.read_expenditure_panel(io.StringIO(text))
     assert one_pass.value.line == two_step.value.line == lines.index(bad_row) + 1
-
-
-# --- panel round trip -------------------------------------------------------
-
-
-def test_panel_csv_round_trip_is_bit_exact():
-    panel = aggregate_daily(
-        [
-            rec("2020-01-05", "food", "10.10"),
-            rec("2020-01-20", "food", "15.15"),
-            rec("2020-01-06", "fuel", "4.00"),
-            rec("2020-02-10", "food", "1"),
-            rec("2020-02-11", "fuel", "2.5"),
-        ]
-    )
-    text = ingest.panel_to_csv(panel)
-    again = ingest.load_panel(io.StringIO(text))
-    assert again == panel
-    assert ingest.panel_to_csv(again) == text
