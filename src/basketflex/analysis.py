@@ -34,6 +34,7 @@ from .core import (
     weighting_bias,
 )
 from .errors import (
+    ConfigError,
     FixedMonthOutOfRangeError,
     MissingPriceRelativeError,
     NoOverlappingPeriodsError,
@@ -45,6 +46,8 @@ from .periods import Month, month_range
 ANNUAL_METHODS = ("chained", "fixed_base")
 
 SERIES_NAMES = ("official", "adjusted", "core_official", "core_adjusted")
+
+RESULT_SCHEMA = "basketflex.scenario_result/1"
 
 
 @dataclass(frozen=True)
@@ -68,15 +71,20 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         if not self.base_months:
-            raise ValueError("at least one base month is required")
+            raise ConfigError("at least one base month is required")
+        repeated = sorted({m for m in self.base_months if self.base_months.count(m) > 1})
+        if repeated:
+            raise ConfigError(
+                f"base month listed more than once: {', '.join(map(str, repeated))}"
+            )
         if self.annual_method not in ANNUAL_METHODS:
-            raise ValueError(f"annual_method must be one of {ANNUAL_METHODS}")
+            raise ConfigError(f"annual_method must be one of {ANNUAL_METHODS}")
         last_end = None
         for start, end in self.lockdown_windows:
             if end < start:
-                raise ValueError(f"lockdown window {start}..{end} is inverted")
+                raise ConfigError(f"lockdown window {start}..{end} is inverted")
             if last_end is not None and start <= last_end:
-                raise ValueError("lockdown windows must be ordered and non-overlapping")
+                raise ConfigError("lockdown windows must be ordered and non-overlapping")
             last_end = end
 
     @property
@@ -273,7 +281,7 @@ def result_to_dict(result: ScenarioResult) -> dict:
     """JSON-ready form of a scenario result; see ``result_from_dict``."""
     cfg = result.config
     return {
-        "schema": "basketflex.scenario_result/1",
+        "schema": RESULT_SCHEMA,
         "country": cfg.country_label,
         "variant": cfg.variant,
         "config": {
@@ -303,6 +311,8 @@ def result_to_dict(result: ScenarioResult) -> dict:
 
 def result_from_dict(doc: Mapping) -> ScenarioResult:
     """Rebuild a scenario result from its JSON form."""
+    if doc["schema"] != RESULT_SCHEMA:
+        raise ValueError(f"schema is {doc['schema']!r}, expected {RESULT_SCHEMA!r}")
     cfg_doc = doc["config"]
     config = ScenarioConfig(
         base_months=tuple(Month.parse(m) for m in cfg_doc["base_months"]),

@@ -135,13 +135,7 @@ class RunManifest:
                 raise BasketflexError(f"{name} file not found: {p}")
         if not for_run:
             return
-        if not self.base_months:
-            raise BasketflexError("no base months given (flag or manifest)")
-        repeated = sorted({m for m in self.base_months if self.base_months.count(m) > 1})
-        if repeated:
-            raise BasketflexError(
-                f"base month listed more than once: {', '.join(map(str, repeated))}"
-            )
+        self.config()  # ConfigError here, before any input file is read
         if not self.formats:
             raise BasketflexError("no output formats selected")
         bad = set(self.formats) - {"csv", "json"}

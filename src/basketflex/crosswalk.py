@@ -393,9 +393,14 @@ def parse_spec(text: str) -> CrosswalkSpec:
         raise SpecInvalidError(
             [Finding(BAD_RULE, "file", "expected a mapping with a `rules` list")]
         )
+    if not isinstance(doc["rules"], list):
+        raise SpecInvalidError([Finding(BAD_RULE, "rules", "must be a list")])
     rules = tuple(_parse_rule(e, i) for i, e in enumerate(doc["rules"]))
+    raw_moves = doc.get("reassignments") or []
+    if not isinstance(raw_moves, list):
+        raise SpecInvalidError([Finding(BAD_REASSIGNMENT, "reassignments", "must be a list")])
     reassignments = []
-    for i, e in enumerate(doc.get("reassignments") or []):
+    for i, e in enumerate(raw_moves):
         if not isinstance(e, Mapping) or not {"source", "from", "to"} <= set(e):
             raise SpecInvalidError(
                 [

@@ -145,6 +145,10 @@ class WeightSumOutOfRangeError(BasketflexError):
 # --- analysis ------------------------------------------------------------
 
 
+class ConfigError(BasketflexError, ValueError):
+    """A scenario configuration is inconsistent in itself."""
+
+
 class NoOverlappingPeriodsError(BasketflexError):
     pass
 

@@ -9,6 +9,8 @@ import pytest
 from basketflex import analysis, crosswalk, ingest, synth
 from basketflex.analysis import ScenarioConfig
 from basketflex.errors import (
+    BasketflexError,
+    ConfigError,
     FixedMonthOutOfRangeError,
     NoOverlappingPeriodsError,
     PeriodNotCoveredError,
@@ -198,6 +200,21 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"base_months": ()},
+        {"base_months": (Month(2020, 1), Month(2020, 2), Month(2020, 1))},
+        {"base_months": BASE, "annual_method": "yearly"},
+        {"base_months": BASE, "lockdown_windows": ((dt.date(2020, 5, 1), dt.date(2020, 3, 1)),)},
+    ],
+)
+def test_config_errors_are_input_errors(kwargs):
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig(**kwargs)
+    assert isinstance(exc.value, BasketflexError)
+
+
 def test_annual_method_fixed_base_differs_but_tracks_chained():
     weights, prices, panel, spec = load_economy_inputs(priced_economy(months=20))
     chained = analysis.run_scenario(ScenarioConfig(base_months=BASE), weights, prices, panel, spec)
@@ -296,6 +313,14 @@ def test_result_dict_round_trip(dynamic_result):
     doc = analysis.result_to_dict(dynamic_result)
     again = analysis.result_from_dict(doc)
     assert again == dynamic_result
+
+
+@pytest.mark.parametrize("schema", ["something/else", None])
+def test_result_from_dict_rejects_other_schema(dynamic_result, schema):
+    doc = analysis.result_to_dict(dynamic_result)
+    doc["schema"] = schema
+    with pytest.raises(ValueError, match="schema"):
+        analysis.result_from_dict(doc)
 
 
 def test_result_json_is_stable(dynamic_result):

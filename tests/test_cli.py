@@ -149,8 +149,49 @@ def test_run_rejects_duplicate_base_months(example_dir, tmp_path, source):
     proc = run_cli(*args)
     assert proc.returncode == 2
     report = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert report["error"] == "BasketflexError"
+    assert report["error"] == "ConfigError"
     assert "2020-01" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "flags, manifest_field",
+    [
+        (("--lockdowns", "2020-05-01:2020-03-01"), {}),
+        (("--lockdowns", "2020-03-01:2020-05-01,2020-04-01:2020-06-01"), {}),
+        ((), {"annual_method": "foo"}),
+    ],
+    ids=["inverted-lockdown", "overlapping-lockdowns", "manifest-annual-method"],
+)
+def test_run_config_errors_exit_2(example_dir, tmp_path, flags, manifest_field):
+    manifest = json.loads((example_dir / "manifest.json").read_text())
+    for key in ("weights", "prices", "expenditures", "crosswalk"):
+        manifest[key] = str(example_dir / manifest[key])
+    manifest.update(manifest_field)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    proc = run_cli(
+        "run", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out), *flags
+    )
+    assert proc.returncode == 2
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "ConfigError"
+    assert "internal" not in report
+    assert not out.exists()  # rejected before the output directory is made
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_crosswalk_with_non_list_rules_exits_2(example_manifest, tmp_path, command):
+    spec = tmp_path / "crosswalk.yaml"
+    spec.write_text("version: 'x'\nrules: 5\n")
+    proc = run_cli(
+        command, "--manifest", example_manifest, "--crosswalk", str(spec),
+        *(("--out", str(tmp_path / "out")) if command == "run" else ()),
+    )
+    assert proc.returncode == 2
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "SpecInvalidError"
+    assert "internal" not in report
+    assert report["path"].endswith("crosswalk.yaml")
 
 
 def test_run_missing_input_file(example_manifest, tmp_path):
@@ -223,6 +264,23 @@ def test_compare_command(example_manifest, tmp_path):
     assert len(lines) == 3
     assert all(line.endswith("negative") for line in lines[1:])
     assert "synthetic-israel" in proc.stdout
+
+
+@pytest.mark.parametrize("shape", ["other-schema", "list"])
+def test_compare_rejects_non_result_documents(example_manifest, tmp_path, shape):
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", example_manifest, "--out", str(out)).returncode == 0
+    doc = json.loads((out / "scenario_result.json").read_text())
+    doc["schema"] = "something/else"
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc if shape == "other-schema" else [doc]))
+    proc = run_cli("compare", str(other), "--period", "2020-05")
+    assert proc.returncode == 2
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert "not a scenario result file" in report["message"]
+    assert "internal" not in report
+    if shape == "other-schema":
+        assert "something/else" in report["message"]
 
 
 def test_compare_period_not_covered(example_manifest, tmp_path):

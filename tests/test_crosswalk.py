@@ -275,6 +275,21 @@ def test_parse_rejects_malformed_documents():
         cw.parse_spec("rules: []\nreassignments:\n  - source: a\n")
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("rules: 5\n", cw.BAD_RULE),
+        ("rules: null\n", cw.BAD_RULE),
+        ("rules: []\nreassignments: 3\n", cw.BAD_REASSIGNMENT),
+    ],
+    ids=["rules-int", "rules-null", "reassignments-int"],
+)
+def test_parse_rejects_non_list_sections(text, code):
+    with pytest.raises(SpecInvalidError) as exc:
+        cw.parse_spec(text)
+    assert [f.code for f in exc.value.findings] == [code]
+
+
 def test_bundled_spec_loads_and_validates(israel_spec, example_inputs):
     weights, _, panel, _ = example_inputs
     assert cw.validate(israel_spec, set(weights.shares), panel.categories) == []
