@@ -15,6 +15,7 @@ Lockdown windows are annotations only: they are carried into the plot data
 from __future__ import annotations
 
 import datetime as dt
+import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -48,6 +49,8 @@ ANNUAL_METHODS = ("chained", "fixed_base")
 SERIES_NAMES = ("official", "adjusted", "core_official", "core_adjusted")
 
 RESULT_SCHEMA = "basketflex.scenario_result/1"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,10 @@ class ScenarioResult:
         raise PeriodNotCoveredError(self.config.country_label, period)
 
 
+def _month_list(months: Iterable[Month]) -> str:
+    return ", ".join(map(str, months)) or "none"
+
+
 def run_scenario(
     config: ScenarioConfig,
     weights: WeightVector,
@@ -163,11 +170,18 @@ def run_scenario(
     end = min(s.end for s in basket_prices.values())
     if end < start:
         raise NoOverlappingPeriodsError("price series share no common months")
-    axis = [m for m in month_range(start, end) if m in rel_by_month]
+    priced_months = month_range(start, end)
+    axis = [m for m in priced_months if m in rel_by_month]
     if not axis:
         raise NoOverlappingPeriodsError(
             "expenditure panel and price series share no months"
         )
+    log.info("scenario axis: %s..%s, %d months", axis[0], axis[-1], len(axis))
+    log.info(
+        "months dropped: no expenditure relatives [%s]; no price relatives [%s]",
+        _month_list(m for m in priced_months if m not in rel_by_month),
+        _month_list(m for m in sorted(rel_by_month) if not start <= m <= end),
+    )
 
     if config.fixed_weight_month is not None:
         if config.fixed_weight_month not in axis:

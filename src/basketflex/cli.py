@@ -25,7 +25,7 @@ import click
 
 from . import analysis, crosswalk, ingest, synth
 from .analysis import ScenarioConfig
-from .errors import BasketflexError
+from .errors import BasketflexError, ConfigError
 from .periods import Month
 
 log = logging.getLogger("basketflex")
@@ -161,15 +161,57 @@ class RunManifest:
         )
 
 
+# Expected JSON shape of each manifest field; null counts as absent.
+_MANIFEST_SHAPES = {
+    **dict.fromkeys(
+        ("weights", "prices", "expenditures", "crosswalk", "out",
+         "fixed_weight_month", "country_label", "annual_method"),
+        ("a string", lambda v: isinstance(v, str)),
+    ),
+    **dict.fromkeys(
+        ("base_months", "core_exclude", "formats"),
+        ("a list of strings",
+         lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    ),
+    **dict.fromkeys(
+        ("per_day_base", "allow_negative_amounts"),
+        ("true or false", lambda v: isinstance(v, bool)),
+    ),
+    "lockdowns": (
+        "a list of [start, end] date pairs",
+        lambda v: isinstance(v, str) or (isinstance(v, list) and all(
+            isinstance(w, list) and len(w) == 2 and all(isinstance(d, str) for d in w)
+            for w in v
+        )),
+    ),
+}
+
+
+def _check_manifest_shape(doc) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"manifest must be a JSON object, not {type(doc).__name__}")
+    for key, (expected, ok) in _MANIFEST_SHAPES.items():
+        if doc.get(key) is not None and not ok(doc[key]):
+            exc = ConfigError(f"manifest field {key!r} must be {expected}, got {doc[key]!r}")
+            exc.field = key
+            raise exc
+
+
+def _read_manifest(path: Path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BasketflexError(f"manifest is not valid JSON: {exc}")
+    _check_manifest_shape(doc)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
 def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
     doc: dict = {}
     root = Path.cwd()
     if manifest_path is not None:
-        with open(manifest_path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise BasketflexError(f"manifest is not valid JSON: {exc}")
+        doc = _load(_read_manifest, manifest_path)
         root = Path(manifest_path).resolve().parent
 
     def path_of(key):
@@ -385,7 +427,7 @@ def _emit_error(exc: BaseException, internal: bool = False) -> None:
         "error": type(exc).__name__,
         "message": str(exc),
     }
-    for attr in ("path", "line", "column", "item", "category", "period", "month"):
+    for attr in ("path", "line", "column", "field", "item", "category", "period", "month"):
         value = getattr(exc, attr, None)
         if value is not None:
             report[attr] = str(value)

@@ -277,17 +277,27 @@ def fixed_base_annual(
     Alternative to chaining: each item's twelve monthly factors are compounded
     first and the given weights are applied to the compounded changes. With
     monthly-varying weights the two constructions differ slightly.
+
+    The twelve factors are multiplied in chronological order, starting from
+    1.0. When an item lacks a relative for part of the window
+    ``period - 11 .. period``, MissingPriceRelativeError names the item and
+    the earliest missing month of that window.
     """
+    first = period.plus(-11)
+    first_index = first.index
     total = 0.0
     for item, w in weights.shares.items():
         series = prices.get(item)
-        factor = 1.0
-        for k in range(11, -1, -1):
-            m = period.plus(-k)
-            rel = series.at(m) if series is not None else None
-            if rel is None:
-                raise MissingPriceRelativeError(item, m)
-            factor *= rel
+        if series is None:
+            raise MissingPriceRelativeError(item, first)
+        # Series are gap-free, so the window is one slice of their points.
+        points = series.points
+        lo = first_index - series.start.index
+        if lo < 0 or lo >= len(points):
+            raise MissingPriceRelativeError(item, first)
+        if lo + 12 > len(points):
+            raise MissingPriceRelativeError(item, series.end.next())
+        factor = math.prod((rel for _, rel in points[lo : lo + 12]), start=1.0)
         total += w * (factor - 1.0) * 100.0
     return total
 

@@ -179,6 +179,66 @@ def test_run_config_errors_exit_2(example_dir, tmp_path, flags, manifest_field):
     assert not out.exists()  # rejected before the output directory is made
 
 
+@pytest.mark.parametrize(
+    "shape, field",
+    [
+        ([], None),
+        ({"lockdowns": [["2020-03-01"]]}, "lockdowns"),
+        ({"fixed_weight_month": 5}, "fixed_weight_month"),
+        ({"base_months": "2020-01"}, "base_months"),
+        ({"core_exclude": "energy"}, "core_exclude"),
+        ({"formats": "csv"}, "formats"),
+        ({"per_day_base": "false"}, "per_day_base"),
+    ],
+    ids=["top-level-list", "lockdown-not-a-pair", "non-string-fixed-month",
+         "string-base-months", "string-core-exclude", "string-formats",
+         "string-per-day-base"],
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_malformed_manifest_shape_exits_2(example_dir, tmp_path, command, shape, field):
+    manifest = json.loads((example_dir / "manifest.json").read_text())
+    for key in ("weights", "prices", "expenditures", "crosswalk"):
+        manifest[key] = str(example_dir / manifest[key])
+    manifest = [manifest] if shape == [] else {**manifest, **shape}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    proc = run_cli(
+        command, "--manifest", str(tmp_path / "manifest.json"),
+        *(("--out", str(out)) if command == "run" else ()),
+    )
+    assert proc.returncode == 2
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "ConfigError"
+    assert "internal" not in report
+    assert report["path"].endswith("manifest.json")
+    assert report.get("field") == field
+    if field is not None:
+        assert repr(field) in report["message"]
+    assert not out.exists()
+
+
+def test_non_utf8_manifest_exits_2(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b'{"country_label": "caf\xe9"}')
+    proc = run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert "internal" not in report
+    assert report["path"] == str(manifest)
+
+
+def test_manifest_null_fields_count_as_absent(example_dir, tmp_path):
+    manifest = json.loads((example_dir / "manifest.json").read_text())
+    for key in ("weights", "prices", "expenditures", "crosswalk"):
+        manifest[key] = str(example_dir / manifest[key])
+    manifest.update({"formats": None, "annual_method": None, "lockdowns": None})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    proc = run_cli("run", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in out.iterdir()} == EXPECTED_OUTPUTS
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_crosswalk_with_non_list_rules_exits_2(example_manifest, tmp_path, command):
     spec = tmp_path / "crosswalk.yaml"
@@ -339,6 +399,26 @@ def test_log_env_var_does_not_disturb_outputs(example_manifest, tmp_path):
         env={"BASKETFLEX_LOG": "debug"},
     )
     assert proc.returncode == 0, proc.stderr
+    for name in EXPECTED_OUTPUTS:
+        assert (quiet / name).read_bytes() == (chatty / name).read_bytes()
+
+
+def test_info_log_reports_axis_and_dropped_months(example_manifest, tmp_path, monkeypatch):
+    monkeypatch.delenv("BASKETFLEX_LOG", raising=False)
+    quiet, chatty = tmp_path / "quiet", tmp_path / "chatty"
+    default = run_cli("run", "--manifest", example_manifest, "--out", str(quiet))
+    info = run_cli(
+        "run", "--manifest", example_manifest, "--out", str(chatty),
+        env={"BASKETFLEX_LOG": "info"},
+    )
+    assert default.returncode == 0 and info.returncode == 0, info.stderr
+    assert "scenario axis: 2020-02..2021-06, 17 months" in info.stderr
+    # the panel starts at the base month 2020-01, the price relatives a month later
+    assert "months dropped: no expenditure relatives [none]; no price relatives [2020-01]" in (
+        info.stderr
+    )
+    assert "scenario axis" not in default.stderr
+    assert "months dropped" not in default.stderr
     for name in EXPECTED_OUTPUTS:
         assert (quiet / name).read_bytes() == (chatty / name).read_bytes()
 

@@ -229,6 +229,95 @@ def test_fixed_base_annual_matches_chaining_for_uniform_inflation():
     assert got == pytest.approx((1.01**12 - 1) * 100, abs=1e-10)
 
 
+def month_stepping_fixed_base_annual(weights, prices, period):
+    """Reference: looks up each of the twelve months by stepping back from
+    ``period``, multiplying the factors in chronological order."""
+    total = 0.0
+    for item, w in weights.shares.items():
+        series = prices.get(item)
+        factor = 1.0
+        for k in range(11, -1, -1):
+            m = period.plus(-k)
+            rel = series.at(m) if series is not None else None
+            if rel is None:
+                raise MissingPriceRelativeError(item, m)
+            factor *= rel
+        total += w * (factor - 1.0) * 100.0
+    return total
+
+
+def _outcome(fn, weights, prices, period):
+    try:
+        return fn(weights, prices, period)
+    except MissingPriceRelativeError as exc:
+        return ("missing", exc.item, exc.period)
+
+
+_relative = st.floats(0.5, 1.5, exclude_min=True, exclude_max=True)
+_series_shape = st.tuples(
+    st.integers(0, 30),  # start offset from 2019-01
+    st.lists(_relative, min_size=12, max_size=40),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shapes=st.lists(_series_shape, min_size=1, max_size=4),
+    raw_weights=st.lists(st.floats(0.01, 10.0), min_size=4, max_size=4),
+)
+def test_fixed_base_annual_equals_month_stepping_reference(shapes, raw_weights):
+    origin = Month(2019, 1)
+    prices = {}
+    for n, (offset, rels) in enumerate(shapes):
+        item = f"i{n}"
+        start = origin.plus(offset)
+        prices[item] = PriceRelativeSeries.from_mapping(
+            item, {start.plus(k): r for k, r in enumerate(rels)}
+        )
+    weights = normalize_weights(dict(zip(prices, raw_weights)))
+    lo = min(s.start for s in prices.values()).plus(-2)
+    hi = max(s.end for s in prices.values()).plus(13)
+    valid = 0
+    for idx in range(lo.index, hi.index + 1):
+        period = Month.from_index(idx)
+        want = _outcome(month_stepping_fixed_base_annual, weights, prices, period)
+        got = _outcome(fixed_base_annual, weights, prices, period)
+        assert got == want  # exact, not approx: same products in the same order
+        valid += not isinstance(want, tuple)
+    first_valid = max(s.start for s in prices.values()).plus(11)
+    last_valid = min(s.end for s in prices.values())
+    assert valid == max(0, last_valid.index - first_valid.index + 1)
+
+
+def _one_series(start, n):
+    return {"A": PriceRelativeSeries.from_mapping("A", {start.plus(k): 1.01 for k in range(n)})}
+
+
+@pytest.mark.parametrize(
+    "prices, period, missing",
+    [
+        # no series for the item at all
+        ({}, Month(2021, 6), Month(2020, 7)),
+        # window starts two months before the series does
+        (_one_series(Month(2020, 3), 24), Month(2020, 12), Month(2020, 1)),
+        # period one past the series end (2021-12)
+        (_one_series(Month(2020, 1), 24), Month(2022, 1), Month(2022, 1)),
+        # window lies wholly after the end: the earliest missing month is
+        # period - 11, not series.end + 1
+        (_one_series(Month(2020, 1), 24), Month(2023, 6), Month(2022, 7)),
+    ],
+    ids=["no_series", "before_start", "one_past_end", "wholly_after_end"],
+)
+def test_fixed_base_annual_reports_earliest_missing_month(prices, period, missing):
+    weights = normalize_weights({"A": 1.0})
+    with pytest.raises(MissingPriceRelativeError) as info:
+        fixed_base_annual(weights, prices, period)
+    assert (info.value.item, info.value.period) == ("A", missing)
+    with pytest.raises(MissingPriceRelativeError) as ref:
+        month_stepping_fixed_base_annual(weights, prices, period)
+    assert (ref.value.item, ref.value.period) == ("A", missing)
+
+
 # --- exclude_items ----------------------------------------------------------
 
 
