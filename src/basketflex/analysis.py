@@ -17,7 +17,7 @@ from __future__ import annotations
 import datetime as dt
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import crosswalk as cw
 from . import ingest
@@ -394,54 +394,49 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else repr(x)
 
 
-def inflation_rows(result: ScenarioResult) -> list[list[str]]:
-    """Tidy rows: one per period and series, for plotting the rate panels."""
-    rows = [["period", "series", "monthly_pct", "annual_pct", "in_lockdown"]]
+def inflation_rows(result: ScenarioResult) -> Iterator[list[str]]:
+    """Tidy rows, header first: one per period and series, for the rate panels."""
+    yield ["period", "series", "monthly_pct", "annual_pct", "in_lockdown"]
     for name in SERIES_NAMES:
         for p in result.series(name):
-            rows.append(
-                [
-                    str(p.period),
-                    name,
-                    _fmt(p.monthly_pct),
-                    _fmt(p.annual_pct),
-                    str(int(result.config.in_lockdown(p.period))),
-                ]
-            )
-    return rows
+            yield [
+                str(p.period),
+                name,
+                _fmt(p.monthly_pct),
+                _fmt(p.annual_pct),
+                str(int(result.config.in_lockdown(p.period))),
+            ]
 
 
-def weight_rows(result: ScenarioResult) -> list[list[str]]:
-    """Tidy rows: one per period, basket and item, for weight-path plots."""
-    rows = [["period", "basket", "item", "weight", "in_lockdown"]]
+def weight_rows(result: ScenarioResult) -> Iterator[list[str]]:
+    """Tidy rows, header first: one per period, basket and item, for weight paths."""
+    yield ["period", "basket", "item", "weight", "in_lockdown"]
     for basket, vectors in (
         ("official", result.official_weights),
         ("adjusted", result.adjusted_weights),
     ):
         for v in vectors:
-            flag = str(int(result.config.in_lockdown(v.period)))
+            period, flag = str(v.period), str(int(result.config.in_lockdown(v.period)))
             for item in sorted(v.shares):
-                rows.append([str(v.period), basket, item, _fmt(v.shares[item]), flag])
-    return rows
+                yield [period, basket, item, _fmt(v.shares[item]), flag]
 
 
-def contribution_rows(result: ScenarioResult) -> list[list[str]]:
-    """Tidy rows: one per period, series and item, in percentage points."""
-    rows = [["period", "series", "item", "contribution_pp"]]
+def contribution_rows(result: ScenarioResult) -> Iterator[list[str]]:
+    """Tidy rows, header first: one per period, series and item, in percentage points."""
+    yield ["period", "series", "item", "contribution_pp"]
     for name in SERIES_NAMES:
         for p in result.series(name):
+            period = str(p.period)
             for item in sorted(p.contributions):
-                rows.append([str(p.period), name, item, _fmt(p.contributions[item])])
-    return rows
+                yield [period, name, item, _fmt(p.contributions[item])]
 
 
-def bias_rows(result: ScenarioResult) -> list[list[str]]:
-    """Tidy rows: headline and core bias per period."""
-    rows = [["period", "scope", "monthly_pp", "annual_pp"]]
+def bias_rows(result: ScenarioResult) -> Iterator[list[str]]:
+    """Tidy rows, header first: headline and core bias per period."""
+    yield ["period", "scope", "monthly_pp", "annual_pp"]
     for scope, series in (("headline", result.bias), ("core", result.core_bias)):
         for b in series:
-            rows.append([str(b.period), scope, _fmt(b.monthly_pp), _fmt(b.annual_pp)])
-    return rows
+            yield [str(b.period), scope, _fmt(b.monthly_pp), _fmt(b.annual_pp)]
 
 
 def comparison_rows(rows: Iterable[CountryBias]) -> list[list[str]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import logging
 import os
@@ -33,12 +34,21 @@ log = logging.getLogger("basketflex")
 RESULT_JSON = "scenario_result.json"
 
 
-def _write_atomic(path: Path, data: str) -> None:
+def _write_atomic(path: Path, data) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename.
+
+    ``data`` is a ``str`` or a callable that writes to the open text file, so
+    large outputs can be streamed. On any exception the temp file is removed
+    and ``path`` is left as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            if isinstance(data, str):
+                fh.write(data)
+            else:
+                data(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -46,11 +56,55 @@ def _write_atomic(path: Path, data: str) -> None:
         raise
 
 
+def _csv_writer(rows):
+    """A ``_write_atomic`` callable writing ``rows`` as ``_csv_text`` would."""
+    return lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _csv_text(rows: list[list[str]]) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerows(rows)
+    _csv_writer(rows)(buf)
     return buf.getvalue()
+
+
+def _is_leaf(value) -> bool:
+    return not isinstance(value, (dict, list, tuple)) or not value
+
+
+def _json_chunks(doc, level: int = 0):
+    """Yield ``json.dumps(doc, indent=2, sort_keys=True)`` piece by piece.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder and
+    builds the whole text in memory. Here a container holding only scalars
+    (or empty containers) is one C-encoder call whose item separator carries
+    the newline and indent, with its brackets re-padded to match; other
+    containers recurse. Dict keys must be strings.
+    """
+    if _is_leaf(doc):
+        yield json.dumps(doc)
+        return
+    pad = "\n" + "  " * (level + 1)
+    is_dict = isinstance(doc, dict)
+    if all(map(_is_leaf, doc.values() if is_dict else doc)):
+        text = json.dumps(doc, sort_keys=True, separators=("," + pad, ": "))
+        yield text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+        return
+    if is_dict:
+        brackets, items = "{}", ((json.dumps(k) + ": ", v) for k, v in sorted(doc.items()))
+    else:
+        brackets, items = "[]", (("", v) for v in doc)
+    yield brackets[0]
+    sep = pad
+    for prefix, value in items:
+        yield sep + prefix
+        yield from _json_chunks(value, level + 1)
+        sep = "," + pad
+    yield pad[:-2] + brackets[1]
+
+
+def _json_writer(doc):
+    """A ``_write_atomic`` callable writing ``doc`` as indented, sorted JSON."""
+    return lambda fh: fh.writelines(itertools.chain(_json_chunks(doc), ("\n",)))
 
 
 def _load(loader, path: Path):
@@ -207,6 +261,18 @@ def _read_manifest(path: Path) -> dict:
     return {k: v for k, v in doc.items() if v is not None}
 
 
+def _read_result(path: Path) -> analysis.ScenarioResult:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BasketflexError(f"{path}: not valid JSON: {exc}")
+    try:
+        return analysis.result_from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BasketflexError(f"{path}: not a scenario result file ({exc})")
+
+
 def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
     doc: dict = {}
     root = Path.cwd()
@@ -335,17 +401,17 @@ def cmd_run(manifest, **flags) -> None:
 
     written = []
     if "json" in m.formats:
-        doc = analysis.result_to_dict(result)
-        _write_atomic(m.out / RESULT_JSON, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        # the dict lives only as long as this call, not while the CSVs are written
+        _write_atomic(m.out / RESULT_JSON, _json_writer(analysis.result_to_dict(result)))
         written.append(RESULT_JSON)
     if "csv" in m.formats:
         for name, rows in (
-            ("inflation.csv", analysis.inflation_rows(result)),
-            ("weights.csv", analysis.weight_rows(result)),
-            ("contributions.csv", analysis.contribution_rows(result)),
-            ("bias.csv", analysis.bias_rows(result)),
+            ("inflation.csv", analysis.inflation_rows),
+            ("weights.csv", analysis.weight_rows),
+            ("contributions.csv", analysis.contribution_rows),
+            ("bias.csv", analysis.bias_rows),
         ):
-            _write_atomic(m.out / name, _csv_text(rows))
+            _write_atomic(m.out / name, _csv_writer(rows(result)))
             written.append(name)
 
     click.echo(f"scenario {result.config.variant}: {result.periods[0]}..{result.periods[-1]}")
@@ -401,17 +467,7 @@ def cmd_generate(economy, out) -> None:
 def cmd_compare(results, period, out) -> None:
     """Compare the weighting bias of several scenario_result.json files."""
     month = _parse_month(period)
-    loaded = []
-    for path in results:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise BasketflexError(f"{path}: not valid JSON: {exc}")
-        try:
-            loaded.append(analysis.result_from_dict(doc))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BasketflexError(f"{path}: not a scenario result file ({exc})")
+    loaded = [_load(_read_result, Path(path)) for path in results]
     table = analysis.compare_countries(loaded, month)
     rows = analysis.comparison_rows(table)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]

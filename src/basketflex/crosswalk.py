@@ -429,7 +429,11 @@ def parse_spec(text: str) -> CrosswalkSpec:
 
 def load_spec(path) -> CrosswalkSpec:
     with open(path, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecInvalidError([Finding(BAD_RULE, "file", f"not valid UTF-8: {exc}")])
+    return parse_spec(text)
 
 
 def dump_spec(spec: CrosswalkSpec) -> str:

@@ -249,7 +249,8 @@ def _csv_records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 @contextlib.contextmanager
 def _table(source, header: tuple[str, ...]) -> Iterator[Iterator[tuple[int, list[str]]]]:
     """Open a CSV input (a path or a text stream), check its header row and
-    give the data records. Paths are read as UTF-8 with an optional BOM."""
+    give the data records. Paths are read as UTF-8 with an optional BOM;
+    other bytes raise MalformedRecordError naming the first bad line."""
     if hasattr(source, "read"):
         opened = contextlib.nullcontext(source)
     else:
@@ -257,11 +258,30 @@ def _table(source, header: tuple[str, ...]) -> Iterator[Iterator[tuple[int, list
     with opened as fh:
         rows = _csv_records(fh)
         try:
-            line, got = next(rows)
-        except StopIteration:
-            raise SchemaError(header[0], 0, "file is empty")
-        _check_header(got, header, line)
-        yield rows
+            try:
+                line, got = next(rows)
+            except StopIteration:
+                raise SchemaError(header[0], 0, "file is empty")
+            _check_header(got, header, line)
+            yield rows
+        except UnicodeDecodeError as exc:
+            line = None if hasattr(source, "read") else _undecodable_line(source)
+            raise MalformedRecordError(line, f"not valid UTF-8: {exc.reason}")
+
+
+def _undecodable_line(path) -> int | None:
+    """Number of the first line of ``path`` that is not valid UTF-8.
+
+    Only called after decoding failed: the text reader decodes in blocks, so
+    its error does not say which line held the bad bytes.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
 
 def _check_header(row: list[str], expected: tuple[str, ...], line: int) -> None:

@@ -391,4 +391,8 @@ def parse_economy(text: str) -> SyntheticEconomySpec:
 
 def load_economy(path) -> SyntheticEconomySpec:
     with open(path, encoding="utf-8") as fh:
-        return parse_economy(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidEconomySpecError(f"not valid UTF-8: {exc}")
+    return parse_economy(text)

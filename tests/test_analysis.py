@@ -336,17 +336,17 @@ def test_tidy_rows_shapes(dynamic_result):
     n_items = len(dynamic_result.official_weights[0].shares)
     n_core = len(dynamic_result.core_official[0].contributions)
 
-    inflation = analysis.inflation_rows(dynamic_result)
+    inflation = list(analysis.inflation_rows(dynamic_result))
     assert inflation[0] == ["period", "series", "monthly_pct", "annual_pct", "in_lockdown"]
     assert len(inflation) == 1 + 4 * n_periods
 
-    weights = analysis.weight_rows(dynamic_result)
+    weights = list(analysis.weight_rows(dynamic_result))
     assert len(weights) == 1 + 2 * n_periods * n_items
 
-    contributions = analysis.contribution_rows(dynamic_result)
+    contributions = list(analysis.contribution_rows(dynamic_result))
     assert len(contributions) == 1 + 2 * n_periods * n_items + 2 * n_periods * n_core
 
-    bias = analysis.bias_rows(dynamic_result)
+    bias = list(analysis.bias_rows(dynamic_result))
     assert len(bias) == 1 + 2 * n_periods
     in_lockdown = {
         row[0]: row[4] for row in weights[1:]

@@ -227,6 +227,61 @@ def test_non_utf8_manifest_exits_2(tmp_path):
     assert report["path"] == str(manifest)
 
 
+def _input_error_report(proc, path) -> dict:
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert "internal" not in report
+    assert report["path"] == str(path)
+    return report
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("name, bad_line", [
+    ("weights.csv", 3),
+    ("prices.csv", 3),
+    ("expenditures.csv", 610),  # past the reader's first decoded block
+])
+def test_non_utf8_csv_input_exits_2_with_line(example_dir, tmp_path, command, name, bad_line):
+    lines = (example_dir / name).read_bytes().splitlines(keepends=True)
+    lines.insert(bad_line - 1, lines[bad_line - 2].replace(b",", b"\xe9,", 1))
+    path = tmp_path / name
+    path.write_bytes(b"".join(lines))
+    proc = run_cli(
+        command, "--manifest", str(example_dir / "manifest.json"),
+        f"--{name[:-4]}", str(path),
+        *(("--out", str(tmp_path / "out")) if command == "run" else ()),
+    )
+    report = _input_error_report(proc, path)
+    assert report["error"] == "MalformedRecordError"
+    assert report["line"] == str(bad_line)
+    assert "UTF-8" in report["message"]
+
+
+def test_non_utf8_crosswalk_exits_2(example_dir, tmp_path):
+    spec = tmp_path / "crosswalk.yaml"
+    spec.write_bytes((example_dir.parent / "israel_crosswalk.yaml").read_bytes() + b"# caf\xe9\n")
+    proc = run_cli("validate", "--manifest", str(example_dir / "manifest.json"),
+                   "--crosswalk", str(spec))
+    assert _input_error_report(proc, spec)["error"] == "SpecInvalidError"
+
+
+def test_non_utf8_result_file_exits_2(example_manifest, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", example_manifest, "--out", str(out)).returncode == 0
+    result = out / "scenario_result.json"
+    result.write_bytes(result.read_bytes().replace(b'"schema"', b'"sch\xe9ma"', 1))
+    proc = run_cli("compare", str(result), "--period", "2020-05")
+    assert "not valid JSON" in _input_error_report(proc, result)["message"]
+
+
+def test_non_utf8_economy_exits_2(example_dir, tmp_path):
+    economy = tmp_path / "economy.json"
+    economy.write_bytes((example_dir / "economy.json").read_bytes().replace(b"{", b"{\xe9", 1))
+    proc = run_cli("generate", "--economy", str(economy), "--out", str(tmp_path / "gen"))
+    assert _input_error_report(proc, economy)["error"] == "InvalidEconomySpecError"
+    assert not (tmp_path / "gen").exists()
+
+
 def test_manifest_null_fields_count_as_absent(example_dir, tmp_path):
     manifest = json.loads((example_dir / "manifest.json").read_text())
     for key in ("weights", "prices", "expenditures", "crosswalk"):

@@ -265,6 +265,21 @@ def test_loaders_accept_utf8_byte_order_mark(tmp_path, loader, text):
     assert loader(path)
 
 
+@pytest.mark.parametrize("loader", [ingest.load_expenditures, ingest.read_expenditure_panel])
+def test_non_utf8_byte_names_its_line(tmp_path, loader):
+    good = "".join(f"2020-01-{d:02d},food,1\n" for d in range(1, 29)) * 20
+    path = tmp_path / "expenditures.csv"
+    path.write_bytes(b"date,category,amount\n" + good.encode() + b"2020-02-01,caf\xe9,1\n")
+    with pytest.raises(MalformedRecordError) as exc:
+        loader(path)
+    assert exc.value.line == 2 + 28 * 20
+    assert "UTF-8" in str(exc.value)
+    stream = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8", newline="")
+    with pytest.raises(MalformedRecordError) as exc:
+        loader(stream)
+    assert exc.value.line is None
+
+
 def test_quoted_field_may_span_lines():
     text = (
         "date,category,amount\n"
