@@ -14,8 +14,11 @@ Lockdown windows are annotations only: they are carried into the plot data
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import logging
+import reprlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -40,6 +43,7 @@ from .errors import (
     MissingPriceRelativeError,
     NoOverlappingPeriodsError,
     PeriodNotCoveredError,
+    ResultFieldError,
     SpecInvalidError,
 )
 from .periods import Month, month_range
@@ -323,10 +327,89 @@ def result_to_dict(result: ScenarioResult) -> dict:
     }
 
 
+def _parses(parse):
+    """A predicate: does ``parse`` accept the value?"""
+
+    def ok(value) -> bool:
+        try:
+            parse(value)
+        except (AttributeError, TypeError, ValueError):
+            return False
+        return True
+
+    return ok
+
+
+# JSON shape of a result document. A dict is an object whose keys ending in
+# "?" may be absent, a one-element list is a list of that shape, and a pair
+# is (description, predicate) for a single value.
+_STRING = ("a string", lambda v: isinstance(v, str))
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_NUMBER_OR_NULL = ("a number or null", lambda v: v is None or type(v) in (int, float))
+_NUMBERS = (
+    "an object of numbers",
+    lambda v: isinstance(v, dict) and {*map(type, v.values())} <= {int, float},
+)
+_MONTH = ("a month as YYYY-MM", _parses(Month.parse))
+_IS_DATE = _parses(dt.date.fromisoformat)
+_DATE_PAIR = (
+    "a [start, end] pair of dates",
+    lambda v: isinstance(v, list) and len(v) == 2 and all(map(_IS_DATE, v)),
+)
+_POINT = {"period": _MONTH, "monthly_pct": _NUMBER, "contributions?": _NUMBERS,
+          "annual_pct?": _NUMBER_OR_NULL}
+_BIAS = {"period": _MONTH, "monthly_pp": _NUMBER, "annual_pp?": _NUMBER_OR_NULL}
+_VECTOR = {"period": _MONTH, "shares": _NUMBERS, "raw_sum?": _NUMBER}
+_RESULT_SHAPE = {
+    "country?": _STRING,
+    "config": {
+        "base_months": [_MONTH],
+        "core_exclusions?": [_STRING],
+        "fixed_weight_month?": ("a month or null", lambda v: v is None or _MONTH[1](v)),
+        "lockdown_windows?": [_DATE_PAIR],
+        "annual_method?": _STRING,
+        "per_day_base?": ("true or false", lambda v: isinstance(v, bool)),
+    },
+    "periods": [_MONTH],
+    "weights": {"official": [_VECTOR], "adjusted": [_VECTOR]},
+    "series": {name: [_POINT] for name in SERIES_NAMES},
+    "bias": [_BIAS],
+    "core_bias": [_BIAS],
+}
+
+
+def _check_shape(value, shape, field: str = "") -> None:
+    """Raise ResultFieldError naming the first part of ``value`` not of ``shape``."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ResultFieldError(field, f"must be an object, got {reprlib.repr(value)}")
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            where = f"{field}.{name}" if field else name
+            if name in value:
+                _check_shape(value[name], sub, where)
+            elif name == key:
+                raise ResultFieldError(where, "is missing")
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ResultFieldError(field, f"must be a list, got {reprlib.repr(value)}")
+        for k, item in enumerate(value):
+            _check_shape(item, shape[0], f"{field}[{k}]")
+    elif not shape[1](value):
+        raise ResultFieldError(field, f"must be {shape[0]}, got {reprlib.repr(value)}")
+
+
 def result_from_dict(doc: Mapping) -> ScenarioResult:
-    """Rebuild a scenario result from its JSON form."""
-    if doc["schema"] != RESULT_SCHEMA:
-        raise ValueError(f"schema is {doc['schema']!r}, expected {RESULT_SCHEMA!r}")
+    """Rebuild a scenario result from its JSON form.
+
+    A field missing or of the wrong JSON type raises ``ResultFieldError``
+    naming it, e.g. ``weights.official[0].shares``.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    if doc.get("schema") != RESULT_SCHEMA:
+        raise ValueError(f"schema is {doc.get('schema')!r}, expected {RESULT_SCHEMA!r}")
+    _check_shape(doc, _RESULT_SHAPE)
     cfg_doc = doc["config"]
     config = ScenarioConfig(
         base_months=tuple(Month.parse(m) for m in cfg_doc["base_months"]),
@@ -394,49 +477,78 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else repr(x)
 
 
-def inflation_rows(result: ScenarioResult) -> Iterator[list[str]]:
-    """Tidy rows, header first: one per period and series, for the rate panels."""
-    yield ["period", "series", "monthly_pct", "annual_pct", "in_lockdown"]
+class _CsvFields(dict):
+    """Text -> its CSV field, quoted on first lookup by the csv module's
+    QUOTE_MINIMAL rules, so each item id is quoted once per file."""
+
+    def __missing__(self, text: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text, ""])
+        field = self[text] = buf.getvalue()[:-2]  # drop the empty field's ",\n"
+        return field
+
+
+def _block(prefix: str, middles: list[str], suffix: str = "") -> str:
+    """CSV lines ``prefix + middle + suffix``, one per middle, as one string."""
+    if not middles:
+        return ""
+    return prefix + (suffix + "\n" + prefix).join(middles) + suffix + "\n"
+
+
+# The four tidy writers yield CSV text: the header line, then one block per
+# inflation point or weight vector, byte for byte what ``csv.writer`` with
+# ``lineterminator="\n"`` writes for the same rows.
+
+
+def inflation_rows(result: ScenarioResult) -> Iterator[str]:
+    """Tidy CSV, header first: one line per period and series, for the rate panels."""
+    yield "period,series,monthly_pct,annual_pct,in_lockdown\n"
+    in_lockdown = result.config.in_lockdown
     for name in SERIES_NAMES:
         for p in result.series(name):
-            yield [
-                str(p.period),
-                name,
-                _fmt(p.monthly_pct),
-                _fmt(p.annual_pct),
-                str(int(result.config.in_lockdown(p.period))),
-            ]
+            yield (
+                f"{p.period},{name},{_fmt(p.monthly_pct)},{_fmt(p.annual_pct)},"
+                f"{int(in_lockdown(p.period))}\n"
+            )
 
 
-def weight_rows(result: ScenarioResult) -> Iterator[list[str]]:
-    """Tidy rows, header first: one per period, basket and item, for weight paths."""
-    yield ["period", "basket", "item", "weight", "in_lockdown"]
+def weight_rows(result: ScenarioResult) -> Iterator[str]:
+    """Tidy CSV, header first: one line per period, basket and item, for weight paths.
+
+    Vectors that share their ``shares`` dict with the previous one (the
+    official basket, and the frozen adjusted one) reuse its formatted items.
+    """
+    yield "period,basket,item,weight,in_lockdown\n"
+    in_lockdown = result.config.in_lockdown
+    fields = _CsvFields()
     for basket, vectors in (
         ("official", result.official_weights),
         ("adjusted", result.adjusted_weights),
     ):
+        shares = None
         for v in vectors:
-            period, flag = str(v.period), str(int(result.config.in_lockdown(v.period)))
-            for item in sorted(v.shares):
-                yield [period, basket, item, _fmt(v.shares[item]), flag]
+            if v.shares is not shares:
+                shares = v.shares
+                middles = [f"{fields[i]},{_fmt(shares[i])}," for i in sorted(shares)]
+            yield _block(f"{v.period},{basket},", middles, str(int(in_lockdown(v.period))))
 
 
-def contribution_rows(result: ScenarioResult) -> Iterator[list[str]]:
-    """Tidy rows, header first: one per period, series and item, in percentage points."""
-    yield ["period", "series", "item", "contribution_pp"]
+def contribution_rows(result: ScenarioResult) -> Iterator[str]:
+    """Tidy CSV, header first: one line per period, series and item, in percentage points."""
+    yield "period,series,item,contribution_pp\n"
+    fields = _CsvFields()
     for name in SERIES_NAMES:
         for p in result.series(name):
-            period = str(p.period)
-            for item in sorted(p.contributions):
-                yield [period, name, item, _fmt(p.contributions[item])]
+            c = p.contributions
+            yield _block(f"{p.period},{name},", [f"{fields[i]},{_fmt(c[i])}" for i in sorted(c)])
 
 
-def bias_rows(result: ScenarioResult) -> Iterator[list[str]]:
-    """Tidy rows, header first: headline and core bias per period."""
-    yield ["period", "scope", "monthly_pp", "annual_pp"]
+def bias_rows(result: ScenarioResult) -> Iterator[str]:
+    """Tidy CSV, header first: headline and core bias per period."""
+    yield "period,scope,monthly_pp,annual_pp\n"
     for scope, series in (("headline", result.bias), ("core", result.core_bias)):
         for b in series:
-            yield [str(b.period), scope, _fmt(b.monthly_pp), _fmt(b.annual_pp)]
+            yield f"{b.period},{scope},{_fmt(b.monthly_pp)},{_fmt(b.annual_pp)}\n"
 
 
 def comparison_rows(rows: Iterable[CountryBias]) -> list[list[str]]:

@@ -37,9 +37,10 @@ RESULT_JSON = "scenario_result.json"
 def _write_atomic(path: Path, data) -> None:
     """Write ``data`` to ``path`` through a temp file and a rename.
 
-    ``data`` is a ``str`` or a callable that writes to the open text file, so
-    large outputs can be streamed. On any exception the temp file is removed
-    and ``path`` is left as it was.
+    ``data`` is a ``str`` or an iterable of ``str`` chunks, so large outputs
+    can be streamed. The file gets the mode a plain ``open`` would give it
+    (``0o666`` less the umask), not the temp file's ``0o600``. On any
+    exception the temp file is removed and ``path`` is left as it was.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
@@ -48,7 +49,8 @@ def _write_atomic(path: Path, data) -> None:
             if isinstance(data, str):
                 fh.write(data)
             else:
-                data(fh)
+                fh.writelines(data)
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,14 +58,15 @@ def _write_atomic(path: Path, data) -> None:
         raise
 
 
-def _csv_writer(rows):
-    """A ``_write_atomic`` callable writing ``rows`` as ``_csv_text`` would."""
-    return lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows)
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _csv_text(rows: list[list[str]]) -> str:
     buf = io.StringIO()
-    _csv_writer(rows)(buf)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -100,11 +103,6 @@ def _json_chunks(doc, level: int = 0):
         yield from _json_chunks(value, level + 1)
         sep = "," + pad
     yield pad[:-2] + brackets[1]
-
-
-def _json_writer(doc):
-    """A ``_write_atomic`` callable writing ``doc`` as indented, sorted JSON."""
-    return lambda fh: fh.writelines(itertools.chain(_json_chunks(doc), ("\n",)))
 
 
 def _load(loader, path: Path):
@@ -270,7 +268,9 @@ def _read_result(path: Path) -> analysis.ScenarioResult:
     try:
         return analysis.result_from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise BasketflexError(f"{path}: not a scenario result file ({exc})")
+        err = BasketflexError(f"{path}: not a scenario result file ({exc})")
+        err.field = getattr(exc, "field", None)
+        raise err
 
 
 def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
@@ -402,7 +402,10 @@ def cmd_run(manifest, **flags) -> None:
     written = []
     if "json" in m.formats:
         # the dict lives only as long as this call, not while the CSVs are written
-        _write_atomic(m.out / RESULT_JSON, _json_writer(analysis.result_to_dict(result)))
+        _write_atomic(
+            m.out / RESULT_JSON,
+            itertools.chain(_json_chunks(analysis.result_to_dict(result)), "\n"),
+        )
         written.append(RESULT_JSON)
     if "csv" in m.formats:
         for name, rows in (
@@ -411,7 +414,7 @@ def cmd_run(manifest, **flags) -> None:
             ("contributions.csv", analysis.contribution_rows),
             ("bias.csv", analysis.bias_rows),
         ):
-            _write_atomic(m.out / name, _csv_writer(rows(result)))
+            _write_atomic(m.out / name, rows(result))
             written.append(name)
 
     click.echo(f"scenario {result.config.variant}: {result.periods[0]}..{result.periods[-1]}")

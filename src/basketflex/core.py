@@ -106,7 +106,7 @@ class PriceRelativeSeries:
 
     @classmethod
     def from_mapping(cls, item: ItemId, by_month: Mapping[Month, float]) -> "PriceRelativeSeries":
-        pts = tuple(sorted(by_month.items()))
+        pts = tuple(sorted(by_month.items(), key=lambda kv: kv[0].index))
         return cls(item=item, points=pts)
 
     @property

@@ -383,10 +383,15 @@ def _parse_rule(entry: Mapping, idx: int) -> Rule:
     )
 
 
+# libyaml's scanner and parser when PyYAML was built with it; the
+# constructor, and so the document, is the same as ``yaml.safe_load``'s.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_spec(text: str) -> CrosswalkSpec:
     """Parse the YAML configuration form of a crosswalk spec."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SpecInvalidError([Finding(BAD_RULE, "file", f"not valid YAML: {exc}")])
     if not isinstance(doc, Mapping) or "rules" not in doc:

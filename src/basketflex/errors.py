@@ -159,6 +159,14 @@ class FixedMonthOutOfRangeError(BasketflexError):
         self.month = month
 
 
+class ResultFieldError(BasketflexError, ValueError):
+    """A field of a scenario result document is missing or of the wrong type."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"field {field} {reason}")
+        self.field = field
+
+
 class PeriodNotCoveredError(BasketflexError):
     def __init__(self, country: str, period):
         super().__init__(f"scenario {country!r} does not cover {period}")

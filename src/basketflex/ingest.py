@@ -26,7 +26,7 @@ import datetime as dt
 import math
 import warnings
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from typing import Iterable, Iterator
 
 from .core import ItemId, PriceRelativeSeries, WeightVector, normalize_weights
@@ -164,7 +164,12 @@ def _fold(
             if m is None:
                 m = month_of[date] = Month.of_date(date).index
             key = (category, m)
-            sums[key] = sums.get(key, _ZERO) + amount
+            try:
+                sums[key] = sums.get(key, _ZERO) + amount
+            except Overflow:
+                raise MalformedRecordError(
+                    line, f"amount {amount} for {category!r} on {date}: monthly total overflows"
+                )
     if not sums:
         raise EmptyInputError("no expenditure records")
     seen = {m for _, m in sums}
@@ -376,19 +381,26 @@ def load_weights(path) -> WeightVector:
 
 
 def load_prices(path) -> dict[ItemId, PriceRelativeSeries]:
-    """Read per-item month-over-month price factors from ``prices.csv``."""
+    """Read per-item month-over-month price factors from ``prices.csv``.
+
+    Each distinct period string is parsed once, so all items share one
+    ``Month`` per period.
+    """
     by_item: dict[ItemId, dict[Month, float]] = {}
+    months: dict[str, Month] = {}
     with _table(path, ("item", "period", "relative")) as rows:
         for line, row in rows:
             if len(row) != 3:
                 raise SchemaError("relative", line, f"expected 3 fields, got {len(row)}")
-            item, raw_period, raw_rel = (f.strip() for f in row)
+            item, raw_period, raw_rel = map(str.strip, row)
             if not item:
                 raise SchemaError("item", line, "empty item id")
-            try:
-                period = Month.parse(raw_period)
-            except ValueError:
-                raise SchemaError("period", line, f"bad period {raw_period!r}")
+            period = months.get(raw_period)
+            if period is None:
+                try:
+                    period = months[raw_period] = Month.parse(raw_period)
+                except ValueError:
+                    raise SchemaError("period", line, f"bad period {raw_period!r}")
             try:
                 rel = float(raw_rel)
             except ValueError:

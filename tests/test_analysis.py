@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import datetime as dt
 import io
@@ -331,22 +332,26 @@ def test_result_json_is_stable(dynamic_result):
     assert json.dumps(analysis.result_to_dict(dynamic_result), sort_keys=True) == text
 
 
+def _csv_rows(text_chunks) -> list[list[str]]:
+    return list(csv.reader(io.StringIO("".join(text_chunks))))
+
+
 def test_tidy_rows_shapes(dynamic_result):
     n_periods = len(dynamic_result.periods)
     n_items = len(dynamic_result.official_weights[0].shares)
     n_core = len(dynamic_result.core_official[0].contributions)
 
-    inflation = list(analysis.inflation_rows(dynamic_result))
+    inflation = _csv_rows(analysis.inflation_rows(dynamic_result))
     assert inflation[0] == ["period", "series", "monthly_pct", "annual_pct", "in_lockdown"]
     assert len(inflation) == 1 + 4 * n_periods
 
-    weights = list(analysis.weight_rows(dynamic_result))
+    weights = _csv_rows(analysis.weight_rows(dynamic_result))
     assert len(weights) == 1 + 2 * n_periods * n_items
 
-    contributions = list(analysis.contribution_rows(dynamic_result))
+    contributions = _csv_rows(analysis.contribution_rows(dynamic_result))
     assert len(contributions) == 1 + 2 * n_periods * n_items + 2 * n_periods * n_core
 
-    bias = list(analysis.bias_rows(dynamic_result))
+    bias = _csv_rows(analysis.bias_rows(dynamic_result))
     assert len(bias) == 1 + 2 * n_periods
     in_lockdown = {
         row[0]: row[4] for row in weights[1:]

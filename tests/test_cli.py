@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import stat
 
 import pytest
+
+from basketflex import cli
 
 from conftest import run_cli
 
@@ -489,3 +493,73 @@ def test_outputs_are_written_atomically(example_manifest, tmp_path):
     assert run_cli("run", "--manifest", example_manifest, "--out", str(out)).returncode == 0
     leftovers = [p for p in out.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("extra, flags, bad_line", [
+    ("2020-03-05,fuel,1e999999999\n", (), 610),
+    ("2020-03-05,fuel,-1e999999999\n", ("--allow-negative-amounts",), 610),
+    # each amount is in range; their monthly sum is not
+    ("2020-03-05,fuel,9e999999\n2020-03-06,fuel,9e999999\n", (), 611),
+])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_amount_overflow_exits_2_with_line(example_dir, tmp_path, extra, flags, bad_line, command):
+    ledger = tmp_path / "expenditures.csv"
+    ledger.write_text((example_dir / "expenditures.csv").read_text() + extra)
+    assert len((example_dir / "expenditures.csv").read_text().splitlines()) == 609
+    out = ("--out", str(tmp_path / "out")) if command == "run" else ()
+    proc = run_cli(command, "--manifest", str(example_dir / "manifest.json"),
+                   "--expenditures", str(ledger), *flags, *out)
+    report = _input_error_report(proc, ledger)
+    assert report["error"] == "MalformedRecordError"
+    assert report["line"] == str(bad_line)
+
+
+@pytest.fixture(scope="module")
+def example_result_text(example_manifest, tmp_path_factory) -> str:
+    out = tmp_path_factory.mktemp("run")
+    assert run_cli("run", "--manifest", example_manifest, "--out", str(out)).returncode == 0
+    return (out / "scenario_result.json").read_text()
+
+
+@pytest.mark.parametrize("field, mangle", [
+    ("config.base_months", lambda d: d["config"].update(base_months="2020-01")),
+    ("weights.official[0].shares",
+     lambda d: d["weights"]["official"][0].update(shares={"food": "0.5", "energy": "0.5"})),
+    ("bias[3].monthly_pp", lambda d: d["bias"][3].update(monthly_pp="-0.1")),
+    ("series.adjusted[2].contributions", lambda d: d["series"]["adjusted"][2].update(
+        contributions=[])),
+    ("config.lockdown_windows[1]", lambda d: d["config"].update(
+        lockdown_windows=[["2020-03-01", "2020-05-31"], ["2020-09-01"]])),
+    ("periods[0]", lambda d: d["periods"].__setitem__(0, "2020-13")),
+    ("series.core_official", lambda d: d["series"].pop("core_official")),
+])
+def test_compare_names_the_bad_result_field(example_result_text, tmp_path, field, mangle):
+    doc = json.loads(example_result_text)
+    mangle(doc)
+    result = tmp_path / "scenario_result.json"
+    result.write_text(json.dumps(doc))
+    proc = run_cli("compare", str(result), "--period", "2020-05")
+    report = _input_error_report(proc, result)
+    assert report["field"] == field
+    assert "not a scenario result file" in report["message"]
+    assert field in report["message"]
+    assert "not supported between" not in report["message"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_written_files_follow_the_umask(example_dir, tmp_path, umask):
+    manifest = str(example_dir / "manifest.json")
+    old = os.umask(umask)
+    try:
+        cli.cli.main(["run", "--manifest", manifest, "--out", str(tmp_path / "run")],
+                     standalone_mode=False)
+        cli.cli.main(["generate", "--economy", str(example_dir / "economy.json"),
+                      "--out", str(tmp_path / "gen")], standalone_mode=False)
+        cli.cli.main(["compare", str(tmp_path / "run" / "scenario_result.json"),
+                      "--period", "2020-05", "--out", str(tmp_path / "compare.csv")],
+                     standalone_mode=False)
+    finally:
+        os.umask(old)
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(files) == len(EXPECTED_OUTPUTS) + 3 + 1
+    assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {oct(0o666 & ~umask)}

@@ -1,8 +1,12 @@
+import json
 import random
+import sys
 from decimal import Decimal as D
 
 import pytest
+import yaml
 
+from basketflex import cli
 from basketflex import crosswalk as cw
 from basketflex.errors import (
     NonPositiveRelativeError,
@@ -288,6 +292,46 @@ def test_parse_rejects_non_list_sections(text, code):
     with pytest.raises(SpecInvalidError) as exc:
         cw.parse_spec(text)
     assert [f.code for f in exc.value.findings] == [code]
+
+
+# The pure-Python loader, and libyaml's when PyYAML was built with it.
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_spec_is_the_same_under_each_yaml_loader(
+    loader, example_dir, tmp_path, monkeypatch, capsys
+):
+    bundled = example_dir.parent / "israel_crosswalk.yaml"
+    reference = cw.parse_spec(bundled.read_text(encoding="utf-8"))
+    used = []
+
+    class Recording(loader):
+        def __init__(self, stream):
+            used.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(cw, "_YAML_LOADER", Recording)
+    bom = tmp_path / "bom.yaml"
+    bom.write_bytes(b"\xef\xbb\xbf" + bundled.read_bytes())
+    assert cw.load_spec(bundled) == reference
+    assert cw.load_spec(bom) == reference
+    assert len(used) == 2
+
+    for k, text in enumerate(["rules: [a\n", "rules: a: b\n", "rules:\n\t- x\n", "\x01\n"]):
+        bad = tmp_path / f"bad{k}.yaml"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(SpecInvalidError, match="not valid YAML"):
+            cw.load_spec(bad)
+        monkeypatch.setattr(sys, "argv", ["basketflex", "validate", "--manifest",
+                                          str(example_dir / "manifest.json"),
+                                          "--crosswalk", str(bad)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == "SpecInvalidError"
+        assert "internal" not in report
 
 
 def test_bundled_spec_loads_and_validates(israel_spec, example_inputs):

@@ -1,7 +1,9 @@
-"""The streamed writers behind `basketflex run`: JSON chunks, CSV rows, atomicity."""
+"""The streamed writers behind `basketflex run`: JSON chunks, CSV text, atomicity."""
 
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import math
 
@@ -54,9 +56,135 @@ def test_json_chunks_match_dumps_on_results(example_config, example_inputs, vari
     assert "".join(cli._json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _failing_rows(result):
+# --- the tidy CSV writers -------------------------------------------------------
+# Reference: the list-row generators the text writers replaced, one row per
+# line, written out through csv.writer.
+
+
+def _fmt(x):
+    return "" if x is None else repr(x)
+
+
+def _reference_inflation_rows(result):
+    yield ["period", "series", "monthly_pct", "annual_pct", "in_lockdown"]
+    for name in analysis.SERIES_NAMES:
+        for p in result.series(name):
+            yield [str(p.period), name, _fmt(p.monthly_pct), _fmt(p.annual_pct),
+                   str(int(result.config.in_lockdown(p.period)))]
+
+
+def _reference_weight_rows(result):
+    yield ["period", "basket", "item", "weight", "in_lockdown"]
+    for basket, vectors in (
+        ("official", result.official_weights),
+        ("adjusted", result.adjusted_weights),
+    ):
+        for v in vectors:
+            period, flag = str(v.period), str(int(result.config.in_lockdown(v.period)))
+            for item in sorted(v.shares):
+                yield [period, basket, item, _fmt(v.shares[item]), flag]
+
+
+def _reference_contribution_rows(result):
     yield ["period", "series", "item", "contribution_pp"]
-    yield ["2020-02", "official", "food", "0.1"]
+    for name in analysis.SERIES_NAMES:
+        for p in result.series(name):
+            for item in sorted(p.contributions):
+                yield [str(p.period), name, item, _fmt(p.contributions[item])]
+
+
+def _reference_bias_rows(result):
+    yield ["period", "scope", "monthly_pp", "annual_pp"]
+    for scope, series in (("headline", result.bias), ("core", result.core_bias)):
+        for b in series:
+            yield [str(b.period), scope, _fmt(b.monthly_pp), _fmt(b.annual_pp)]
+
+
+WRITERS = {
+    analysis.inflation_rows: _reference_inflation_rows,
+    analysis.weight_rows: _reference_weight_rows,
+    analysis.contribution_rows: _reference_contribution_rows,
+    analysis.bias_rows: _reference_bias_rows,
+}
+
+# Item ids the csv module must quote, or must not, and arbitrary text.
+item_ids = st.text(min_size=1) | st.sampled_from(
+    ["a,b", '"', 'say "hi", ok', "x\ry", "x\ny", "\r\n", "café", "€\U0001f600", " pad "]
+)
+rates = st.none() | st.floats() | st.sampled_from([math.nan, math.inf, -0.0, 1e-300])
+
+
+def _relabelled(result, names, draw_rate, blank):
+    """``result`` with its items renamed, its annual rates and bias redrawn and
+    no contributions in the ``blank`` periods; vectors that shared a
+    ``shares`` dict still share one."""
+    shares = {}
+
+    def vector(v):
+        if id(v.shares) not in shares:
+            shares[id(v.shares)] = {names[i]: w for i, w in v.shares.items()}
+        return dataclasses.replace(v, shares=shares[id(v.shares)])
+
+    def point(p):  # contributions must still sum to monthly_pct
+        return dataclasses.replace(
+            p, annual_pct=draw_rate(),
+            contributions={
+                names[i]: c for i, c in p.contributions.items() if p.period not in blank
+            },
+        )
+
+    def bias(b):
+        return dataclasses.replace(b, monthly_pp=draw_rate(), annual_pp=draw_rate())
+
+    fields = {
+        "official_weights": vector, "adjusted_weights": vector,
+        **dict.fromkeys(analysis.SERIES_NAMES, point), "bias": bias, "core_bias": bias,
+    }
+    return dataclasses.replace(result, **{
+        name: tuple(map(fn, getattr(result, name))) for name, fn in fields.items()
+    })
+
+
+@pytest.fixture(scope="module")
+def writer_results(example_config, example_inputs):
+    replace = dataclasses.replace
+    results = {
+        variant: analysis.run_scenario(config, *example_inputs)
+        for variant, config in (
+            ("default", example_config),
+            ("fixed-weight", replace(example_config, fixed_weight_month=Month(2020, 4))),
+            ("fixed-base", replace(example_config, annual_method="fixed_base")),
+        )
+    }
+    # both sides of weight_rows's reuse check, and missing annual rates
+    fixed = results["fixed-weight"]
+    assert len({id(v.shares) for v in fixed.official_weights + fixed.adjusted_weights}) == 2
+    assert len({id(v.shares) for v in results["default"].adjusted_weights}) > 1
+    assert all(r.official[0].annual_pct is None for r in results.values())
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("variant", ["default", "fixed-weight", "fixed-base"])
+def test_writers_match_csv_writer_on_any_item_ids(writer_results, variant, data):
+    result = writer_results[variant]
+    items = sorted(result.official_weights[0].shares)
+    labels = data.draw(st.lists(item_ids, min_size=len(items), max_size=len(items), unique=True))
+    rate_stream = itertools.cycle(data.draw(st.lists(rates, min_size=1, max_size=50)))
+    blank = data.draw(st.sets(st.sampled_from(result.periods), max_size=3))
+    relabelled = _relabelled(
+        result, dict(zip(items, labels)), lambda: next(rate_stream), blank
+    )
+    for writer, reference in WRITERS.items():
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(reference(relabelled))
+        assert "".join(writer(relabelled)) == buf.getvalue(), writer.__name__
+
+
+def _failing_rows(result):
+    yield "period,series,item,contribution_pp\n"
+    yield "2020-02,official,food,0.1\n"
     raise RuntimeError("row generator failed")
 
 
