@@ -246,26 +246,16 @@ def compare_countries(
 
     Both the monthly and (when twelve months are available) the annualized
     difference are reported; the sign column follows the monthly figure.
+    ``results`` is consumed lazily and no result is kept once its row is
+    built, so a generator of results holds one at a time.
     """
-    rows = []
-    for r in results:
+
+    def row(r: ScenarioResult) -> CountryBias:
         b = r.bias_at(period)
-        if b.monthly_pp < 0:
-            sign = "negative"
-        elif b.monthly_pp > 0:
-            sign = "positive"
-        else:
-            sign = "zero"
-        rows.append(
-            CountryBias(
-                country=r.config.country_label,
-                monthly_pp=b.monthly_pp,
-                annual_pp=b.annual_pp,
-                sign=sign,
-            )
-        )
-    rows.sort(key=lambda row: (row.monthly_pp, row.country))
-    return rows
+        sign = "negative" if b.monthly_pp < 0 else "positive" if b.monthly_pp > 0 else "zero"
+        return CountryBias(r.config.country_label, b.monthly_pp, b.annual_pp, sign)
+
+    return sorted(map(row, results), key=lambda row: (row.monthly_pp, row.country))
 
 
 # --- serialization ----------------------------------------------------------
@@ -276,7 +266,7 @@ def _point_dict(p: InflationPoint) -> dict:
         "period": str(p.period),
         "monthly_pct": p.monthly_pct,
         "annual_pct": p.annual_pct,
-        "contributions": {i: p.contributions[i] for i in sorted(p.contributions)},
+        "contributions": p.contributions,
     }
 
 
@@ -285,18 +275,15 @@ def _bias_dict(b: BiasPoint) -> dict:
 
 
 def _weights_dicts(vectors: Iterable[WeightVector]) -> list[dict]:
-    return [
-        {
-            "period": str(v.period),
-            "raw_sum": v.raw_sum,
-            "shares": {i: v.shares[i] for i in sorted(v.shares)},
-        }
-        for v in vectors
-    ]
+    return [{"period": str(v.period), "raw_sum": v.raw_sum, "shares": v.shares} for v in vectors]
 
 
 def result_to_dict(result: ScenarioResult) -> dict:
-    """JSON-ready form of a scenario result; see ``result_from_dict``."""
+    """JSON-ready form of a scenario result; see ``result_from_dict``.
+
+    Shares and contributions are the result's own dicts, in their own key
+    order: dump with sorted keys for stable text, and do not mutate them.
+    """
     cfg = result.config
     return {
         "schema": RESULT_SCHEMA,

@@ -396,8 +396,8 @@ def cmd_run(manifest, **flags) -> None:
     """Run a scenario and write result files into --out."""
     m = _manifest_from(Path(manifest) if manifest else None, **flags)
     m.check()
-    weights, prices, panel, spec = _load_inputs(m)
-    result = analysis.run_scenario(m.config(), weights, prices, panel, spec)
+    # no local name holds the inputs, so they are freed once the result exists
+    result = analysis.run_scenario(m.config(), *_load_inputs(m))
 
     written = []
     if "json" in m.formats:
@@ -470,7 +470,8 @@ def cmd_generate(economy, out) -> None:
 def cmd_compare(results, period, out) -> None:
     """Compare the weighting bias of several scenario_result.json files."""
     month = _parse_month(period)
-    loaded = [_load(_read_result, Path(path)) for path in results]
+    # read lazily, one result at a time; the first problem in argument order wins
+    loaded = (_load(_read_result, Path(path)) for path in results)
     table = analysis.compare_countries(loaded, month)
     rows = analysis.comparison_rows(table)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]

@@ -26,12 +26,9 @@ produce the same relatives.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import TYPE_CHECKING, Iterable, Mapping
-
-import yaml
 
 from .core import ExpenditureRelativeVector, ItemId
 from .errors import SpecInvalidError, ZeroBaseError
@@ -383,15 +380,18 @@ def _parse_rule(entry: Mapping, idx: int) -> Rule:
     )
 
 
-# libyaml's scanner and parser when PyYAML was built with it; the
+# None picks libyaml's scanner and parser when PyYAML was built with it; the
 # constructor, and so the document, is the same as ``yaml.safe_load``'s.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = None
 
 
 def parse_spec(text: str) -> CrosswalkSpec:
     """Parse the YAML configuration form of a crosswalk spec."""
+    import yaml  # here, not at module level: only spec files need PyYAML
+
+    loader = _YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise SpecInvalidError([Finding(BAD_RULE, "file", f"not valid YAML: {exc}")])
     if not isinstance(doc, Mapping) or "rules" not in doc:
@@ -469,6 +469,6 @@ def dump_spec(spec: CrosswalkSpec) -> str:
             }
             for m in spec.reassignments
         ]
-    buf = io.StringIO()
-    yaml.safe_dump(doc, buf, sort_keys=False)
-    return buf.getvalue()
+    import yaml
+
+    return yaml.safe_dump(doc, sort_keys=False)

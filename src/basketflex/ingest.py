@@ -13,8 +13,9 @@ line its record starts on. :func:`read_expenditure_panel` folds daily
 expenditure records straight into (category, month) cells, so its memory
 is bounded by the cells rather than the records.
 
-Monetary amounts are parsed as exact decimal strings and accumulated in a
-high-precision decimal context, so aggregation is permutation-invariant;
+Monetary amounts are parsed as exact decimal strings, must lie strictly
+inside ±1e15 (``AMOUNT_LIMIT``), and are accumulated in a high-precision
+decimal context, so aggregation is permutation-invariant;
 they are converted to binary floating point only when a ratio is taken.
 """
 
@@ -26,7 +27,7 @@ import datetime as dt
 import math
 import warnings
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation, Overflow, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from typing import Iterable, Iterator
 
 from .core import ItemId, PriceRelativeSeries, WeightVector, normalize_weights
@@ -52,6 +53,10 @@ from .periods import Month, is_consecutive, month_range
 WEIGHT_SUM_WARN = 1e-6
 WEIGHT_SUM_ERROR = 1e-2
 
+# A daily amount must be strictly inside ±AMOUNT_LIMIT, so no sum of
+# amounts leaves the decimal context and no total overflows a float.
+AMOUNT_LIMIT = Decimal("1e15")
+
 _PREC = 50
 _ZERO = Decimal(0)
 
@@ -74,7 +79,10 @@ class DailyExpenditureRecord:
 
 
 class ExpenditurePanel:
-    """Per-category monthly expenditure totals over a gapless month span."""
+    """Per-category monthly expenditure totals over a gapless month span.
+
+    The table is one list of month totals per category.
+    """
 
     def __init__(self, months: Iterable[Month], totals: dict[tuple[CategoryId, Month], Decimal]):
         self.months: tuple[Month, ...] = tuple(months)
@@ -87,17 +95,19 @@ class ExpenditurePanel:
         )
         if not self.categories:
             raise EmptyInputError("panel has no categories")
-        self._totals: dict[tuple[CategoryId, Month], Decimal] = {}
-        missing = 0
-        for c in self.categories:
-            for m in self.months:
-                v = totals.get((c, m))
-                if v is None:
-                    missing += 1
-                    v = Decimal(0)
+        self._pos = {m: k for k, m in enumerate(self.months)}
+        self._totals = {c: [_ZERO] * len(self.months) for c in self.categories}
+        filled = 0
+        for (c, m), v in totals.items():
+            k = self._pos.get(m)
+            if k is not None:
+                self._totals[c][k] = v
+                filled += 1
+        for c, column in self._totals.items():
+            for m, v in zip(self.months, column):
                 if v < 0:
                     raise NegativeTotalError(c, m)
-                self._totals[(c, m)] = v
+        missing = len(self.categories) * len(self.months) - filled
         if missing:
             warnings.warn(
                 f"{missing} category-month cells had no records and were set to 0",
@@ -106,13 +116,12 @@ class ExpenditurePanel:
             )
 
     def total(self, category: CategoryId, month: Month) -> Decimal:
-        return self._totals[(category, month)]
+        return self._totals[category][self._pos[month]]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExpenditurePanel)
             and self.months == other.months
-            and self.categories == other.categories
             and self._totals == other._totals
         )
 
@@ -126,7 +135,8 @@ def aggregate_daily(
     months inside the span with no records at all raise a GapWarning and are
     filled with zeros. Negative amounts (refunds, chargebacks) are rejected
     unless ``allow_negative``; even then each monthly total must come out
-    non-negative. A rejected record names its file line when it was read
+    non-negative. Every amount must lie strictly inside ``±AMOUNT_LIMIT``
+    (1e15). A rejected record names its file line when it was read
     from a file.
     """
     return _fold(((r.line, r.date, r.category, r.amount) for r in records), allow_negative)
@@ -153,6 +163,7 @@ def _fold(
     """
     sums: dict[tuple[CategoryId, int], Decimal] = {}
     month_of: dict[dt.date, int] = {}
+    low = -AMOUNT_LIMIT
     with localcontext() as ctx:
         ctx.prec = _PREC
         for line, date, category, amount in rows:
@@ -160,16 +171,16 @@ def _fold(
                 raise MalformedRecordError(
                     line, f"negative amount {amount} for {category!r} on {date}"
                 )
+            if not low < amount < AMOUNT_LIMIT:
+                raise MalformedRecordError(
+                    line, f"amount {amount} for {category!r} on {date} is not inside "
+                    f"±{AMOUNT_LIMIT}"
+                )
             m = month_of.get(date)
             if m is None:
                 m = month_of[date] = Month.of_date(date).index
             key = (category, m)
-            try:
-                sums[key] = sums.get(key, _ZERO) + amount
-            except Overflow:
-                raise MalformedRecordError(
-                    line, f"amount {amount} for {category!r} on {date}: monthly total overflows"
-                )
+            sums[key] = sums.get(key, _ZERO) + amount
     if not sums:
         raise EmptyInputError("no expenditure records")
     seen = {m for _, m in sums}
@@ -182,7 +193,11 @@ def _fold(
             stacklevel=3,
         )
     by_index = {m.index: m for m in months}
-    return ExpenditurePanel(months, {(c, by_index[m]): v for (c, m), v in sums.items()})
+    totals = {}
+    while sums:  # re-keyed cell by cell, so ``sums`` and ``totals`` are never both whole
+        (c, m), v = sums.popitem()
+        totals[c, by_index[m]] = v
+    return ExpenditurePanel(months, totals)
 
 
 def base_period(

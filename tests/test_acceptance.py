@@ -132,21 +132,25 @@ def test_oracle_equivalence_200_random_economies():
         panel = ingest.aggregate_daily(
             ingest.load_expenditures(io.StringIO(files.expenditures_csv))
         )
-        base = ingest.base_period(panel, economy.horizon()[: economy.base_months])
-        rels = crosswalk.apply(crosswalk.identity_spec(panel.categories), panel, base)
+        # the one-pass reader `run` uses must give the same panel
+        streamed = ingest.read_expenditure_panel(io.StringIO(files.expenditures_csv))
+        assert streamed == panel
         spend = synth.monthly_spend(economy)
-        for month in economy.horizon():
-            via_pipeline = adjusted_weights(weights, rels[month])
-            direct = normalize_weights(
-                {i: float(path[month]) for i, path in spend.items()}
-            )
-            worst = max(
-                worst,
-                max(
-                    abs(via_pipeline.shares[i] - direct.shares[i])
-                    for i in direct.shares
-                ),
-            )
+        for p in (panel, streamed):
+            base = ingest.base_period(p, economy.horizon()[: economy.base_months])
+            rels = crosswalk.apply(crosswalk.identity_spec(p.categories), p, base)
+            for month in economy.horizon():
+                via_pipeline = adjusted_weights(weights, rels[month])
+                direct = normalize_weights(
+                    {i: float(path[month]) for i, path in spend.items()}
+                )
+                worst = max(
+                    worst,
+                    max(
+                        abs(via_pipeline.shares[i] - direct.shares[i])
+                        for i in direct.shares
+                    ),
+                )
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10, f"pipeline/oracle gap {worst}"
     assert elapsed < 10.0, f"oracle equivalence took {elapsed:.2f}s"

@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -498,8 +501,12 @@ def test_outputs_are_written_atomically(example_manifest, tmp_path):
 @pytest.mark.parametrize("extra, flags, bad_line", [
     ("2020-03-05,fuel,1e999999999\n", (), 610),
     ("2020-03-05,fuel,-1e999999999\n", ("--allow-negative-amounts",), 610),
-    # each amount is in range; their monthly sum is not
-    ("2020-03-05,fuel,9e999999\n2020-03-06,fuel,9e999999\n", (), 611),
+    # each amount fits the decimal context, but not the amount bound
+    ("2020-03-05,fuel,9e999999\n2020-03-06,fuel,9e999999\n", (), 610),
+    # two monthly totals whose base-period sum would overflow the decimal context
+    ("2020-01-05,restaurants,6e999999\n2020-02-06,restaurants,6e999999\n", (), 610),
+    # a monthly total beyond the float range
+    ("2020-01-05,restaurants,1e500\n", (), 610),
 ])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_amount_overflow_exits_2_with_line(example_dir, tmp_path, extra, flags, bad_line, command):
@@ -512,6 +519,14 @@ def test_amount_overflow_exits_2_with_line(example_dir, tmp_path, extra, flags, 
     report = _input_error_report(proc, ledger)
     assert report["error"] == "MalformedRecordError"
     assert report["line"] == str(bad_line)
+    assert "1E+15" in report["message"]
+
+
+def test_importing_the_cli_leaves_pyyaml_unloaded():
+    code = "import sys, basketflex.cli; print('yaml' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
@@ -563,3 +578,42 @@ def test_written_files_follow_the_umask(example_dir, tmp_path, umask):
     files = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert len(files) == len(EXPECTED_OUTPUTS) + 3 + 1
     assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {oct(0o666 & ~umask)}
+
+
+def _compare_peak(paths) -> int:
+    """tracemalloc peak of one in-process ``compare`` over ``paths``."""
+    tracemalloc.start()
+    try:
+        cli.cli.main(["compare", *map(str, paths), "--period", "2020-05"],
+                     standalone_mode=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_holds_one_result_at_a_time(example_result_text, tmp_path, capsys):
+    paths = []
+    for k in range(4):
+        paths.append(tmp_path / f"result{k}.json")
+        paths[-1].write_text(example_result_text)
+    _compare_peak(paths[:1])  # warm-up: first-use imports and caches
+    one, four = _compare_peak(paths[:1]), _compare_peak(paths)
+    assert capsys.readouterr().out.count("synthetic-israel") == 1 + 1 + 4
+    assert four < 1.3 * one, (one, four)
+
+
+def test_compare_reports_the_first_problem_in_argument_order(example_result_text, tmp_path):
+    doc = json.loads(example_result_text)
+    doc["country"] = "first-file"
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps(doc))
+    second.write_text("{not json")
+    proc = run_cli("compare", str(first), str(second), "--period", "2030-01")
+    assert proc.returncode == 2
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "PeriodNotCoveredError"
+    assert "'first-file'" in report["message"]
+    assert "internal" not in report
+    # the other order reports the malformed file
+    proc = run_cli("compare", str(second), str(first), "--period", "2030-01")
+    assert _input_error_report(proc, second)["error"] == "BasketflexError"

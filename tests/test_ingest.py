@@ -14,6 +14,7 @@ from basketflex.errors import (
     GapWarning,
     MalformedRecordError,
     MissingCellWarning,
+    NegativeTotalError,
     NonFiniteAmountError,
     NonPositivePriceError,
     SchemaError,
@@ -105,6 +106,54 @@ def test_aggregate_negative_error_names_file_line_only_when_known():
 def test_record_rejects_non_finite_amount():
     with pytest.raises(NonFiniteAmountError):
         DailyExpenditureRecord(dt.date(2020, 1, 1), "food", D("NaN"))
+
+
+@pytest.mark.parametrize("amount, allow_negative", [
+    ("1e15", False),
+    ("1000000000000000.0", False),
+    ("-1e15", True),
+    ("9e999999", False),
+])
+def test_amount_outside_the_bound_names_its_line(amount, allow_negative):
+    text = f"date,category,amount\n2020-01-05,food,10\n2020-01-06,food,{amount}\n"
+    with pytest.raises(MalformedRecordError, match="1E\\+15") as exc:
+        ingest.read_expenditure_panel(io.StringIO(text), allow_negative=allow_negative)
+    assert exc.value.line == 3
+    with pytest.raises(MalformedRecordError):
+        aggregate_daily([rec("2020-01-06", "food", amount)], allow_negative=allow_negative)
+
+
+def test_amount_just_inside_the_bound_is_kept():
+    text = (
+        "date,category,amount\n"
+        "2020-01-05,food,999999999999999.99\n2020-01-06,food,-999999999999999.99\n"
+    )
+    panel = ingest.read_expenditure_panel(io.StringIO(text), allow_negative=True)
+    assert panel.total("food", Month(2020, 1)) == 0
+
+
+def test_panel_table_keeps_its_contract():
+    jan, feb, mar = Month(2020, 1), Month(2020, 2), Month(2020, 3)
+    cells = {("b", feb): D("2"), ("a", jan): D("1"), ("a", mar): D("9")}
+    with pytest.warns(MissingCellWarning, match="2 category-month cells"):
+        panel = ingest.ExpenditurePanel([jan, feb], cells)
+    assert panel.categories == ("a", "b")
+    assert panel.total("a", jan) == D("1") and panel.total("b", feb) == D("2")
+    assert panel.total("a", feb) == 0 and panel.total("b", jan) == 0
+    for category, month in (("a", mar), ("a", Month(2019, 12)), ("c", jan)):
+        with pytest.raises(KeyError):
+            panel.total(category, month)
+    with pytest.warns(MissingCellWarning):
+        assert panel == ingest.ExpenditurePanel([jan, feb], dict(reversed(cells.items())))
+        assert panel != ingest.ExpenditurePanel([jan, feb], {**cells, ("b", jan): D("3")})
+    text = "date,category,amount\n2020-01-31,a,1\n2020-02-01,b,2\n"
+    with pytest.warns(MissingCellWarning):
+        assert ingest.read_expenditure_panel(io.StringIO(text)) == panel
+    with pytest.raises(NegativeTotalError) as exc:
+        ingest.ExpenditurePanel(
+            [jan, feb], {("b", jan): D("-2"), ("a", jan): D("1"), ("a", feb): D("-1")}
+        )
+    assert (exc.value.category, exc.value.period) == ("a", feb)
 
 
 # --- base_period ------------------------------------------------------------
