@@ -253,7 +253,7 @@ def _read_manifest(path: Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # decode errors, unconvertible numbers
             raise BasketflexError(f"manifest is not valid JSON: {exc}")
     _check_manifest_shape(doc)
     return {k: v for k, v in doc.items() if v is not None}
@@ -263,7 +263,7 @@ def _read_result(path: Path) -> analysis.ScenarioResult:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # decode errors, unconvertible numbers
             raise BasketflexError(f"{path}: not valid JSON: {exc}")
     try:
         return analysis.result_from_dict(doc)
@@ -287,6 +287,10 @@ def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
             return root / doc[key]
         return None
 
+    def flag_or(key, doc_key, default=None):
+        # an explicit flag wins even when empty
+        return flags[key] if flags.get(key) is not None else doc.get(doc_key, default)
+
     months = flags.get("base_months")
     if months is not None:
         base_months = _parse_months(months)
@@ -299,35 +303,31 @@ def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
     else:
         core_exclude = frozenset(doc.get("core_exclude", ()))
 
-    fixed = flags.get("fixed_weight_month") or doc.get("fixed_weight_month")
-    lockdowns = (
-        _parse_lockdowns(flags.get("lockdowns"))
-        if flags.get("lockdowns")
-        else _parse_lockdowns(doc.get("lockdowns"))
-    )
+    fixed = flag_or("fixed_weight_month", "fixed_weight_month")
+    lockdowns = _parse_lockdowns(flag_or("lockdowns", "lockdowns"))
 
     fmt = flags.get("formats")
-    if fmt:
+    if fmt is not None:
         formats = tuple(s.strip() for s in fmt.split(",") if s.strip())
     else:
         formats = tuple(doc.get("formats", ("csv", "json")))
 
-    out = flags.get("out") or doc.get("out")
-    if out is None:
-        raise BasketflexError("no output directory given (flag or manifest)")
+    out = flag_or("out", "out")
+    if not out:
+        raise BasketflexError("output directory missing or empty (--out or manifest `out`)")
 
     return RunManifest(
         weights=path_of("weights"),
         prices=path_of("prices"),
         expenditures=path_of("expenditures"),
         crosswalk=path_of("crosswalk"),
-        out=(Path(flags["out"]) if flags.get("out") else root / doc["out"]),
+        out=Path(out) if flags.get("out") is not None else root / out,
         base_months=base_months,
         core_exclude=core_exclude,
-        fixed_weight_month=_parse_month(fixed) if fixed else None,
+        fixed_weight_month=_parse_month(fixed) if fixed is not None else None,
         lockdowns=lockdowns,
-        country_label=flags.get("country") or doc.get("country_label", ""),
-        annual_method=flags.get("annual_method") or doc.get("annual_method", "chained"),
+        country_label=flag_or("country", "country_label", ""),
+        annual_method=flag_or("annual_method", "annual_method", "chained"),
         per_day_base=bool(flags.get("per_day_base") or doc.get("per_day_base", False)),
         allow_negative_amounts=bool(
             flags.get("allow_negative_amounts") or doc.get("allow_negative_amounts", False)
@@ -470,8 +470,14 @@ def cmd_generate(economy, out) -> None:
 def cmd_compare(results, period, out) -> None:
     """Compare the weighting bias of several scenario_result.json files."""
     month = _parse_month(period)
+
+    def read(path: Path) -> analysis.ScenarioResult:
+        result = _read_result(path)
+        result.bias_at(month)  # so a result that does not cover the period names its file
+        return result
+
     # read lazily, one result at a time; the first problem in argument order wins
-    loaded = (_load(_read_result, Path(path)) for path in results)
+    loaded = (_load(read, Path(path)) for path in results)
     table = analysis.compare_countries(loaded, month)
     rows = analysis.comparison_rows(table)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]

@@ -17,8 +17,6 @@ from the spec, so generated files are byte-stable across platforms.
 
 from __future__ import annotations
 
-import datetime as dt
-import io
 import json
 import random
 from dataclasses import dataclass, field
@@ -32,6 +30,8 @@ from .periods import Month, month_range
 _PREC = 50
 _CENT = Decimal("0.01")
 _ONE = Decimal(1)
+MAX_MONTHS = 1200  # a century of monthly data
+_END_INDEX = Month(10000, 1).index  # dates are written as YYYY-MM-DD
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,26 @@ class SyntheticEconomySpec:
         return month_range(self.start, self.start.plus(self.months - 1))
 
     def validate(self) -> None:
+        # types and size caps first, so a bad spec is refused before any allocation
+        for name in ("months", "base_months", "seed", "max_records_per_month"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidEconomySpecError(f"{name} must be an integer, got {value!r}")
+        if not 2 <= self.months <= MAX_MONTHS:
+            raise InvalidEconomySpecError(f"months must lie in 2..{MAX_MONTHS}, got {self.months}")
+        if self.start.year < 1 or self.start.index + self.months > _END_INDEX:
+            raise InvalidEconomySpecError("horizon must lie within the years 0001..9999")
+        if self.max_records_per_month < 1:
+            raise InvalidEconomySpecError("max_records_per_month must be at least 1")
         if not self.items:
             raise InvalidEconomySpecError("economy needs at least one item")
-        if self.months < 2:
-            raise InvalidEconomySpecError("horizon must be at least two months")
         if not 1 <= self.base_months <= self.months:
             raise InvalidEconomySpecError(
                 f"base_months must lie in 1..{self.months}, got {self.base_months}"
             )
         ids = [it.id for it in self.items]
-        if len(set(ids)) != len(ids):
+        known = set(ids)
+        if len(known) != len(ids):
             raise InvalidEconomySpecError("duplicate item ids")
         for it in self.items:
             if it.base_price <= 0 or it.base_quantity <= 0:
@@ -140,7 +150,7 @@ class SyntheticEconomySpec:
             last_end = w.end
             for name, mults in (("multiplier", w.quantity_multipliers), ("drift", w.price_drifts)):
                 for item, v in mults.items():
-                    if item not in set(i.id for i in self.items):
+                    if item not in known:
                         raise InvalidEconomySpecError(f"shock names unknown item {item!r}")
                     if v <= 0:
                         raise InvalidEconomySpecError(
@@ -173,13 +183,14 @@ class SyntheticEconomySpec:
 def monthly_spend(spec: SyntheticEconomySpec) -> dict[str, dict[Month, Decimal]]:
     """Exact nominal spending per item and month implied by the spec."""
     spec.validate()
+    horizon = spec.horizon()
     out: dict[str, dict[Month, Decimal]] = {}
     with localcontext() as ctx:
         ctx.prec = _PREC
         for it in spec.items:
             price = Decimal(it.base_price)
             path: dict[Month, Decimal] = {}
-            for i, m in enumerate(spec.horizon()):
+            for i, m in enumerate(horizon):
                 if i > 0:
                     price *= spec.price_factor(it.id, m)
                 qty = Decimal(it.base_quantity) * spec.quantity_multiplier(it.id, m)
@@ -188,9 +199,7 @@ def monthly_spend(spec: SyntheticEconomySpec) -> dict[str, dict[Month, Decimal]]
     return out
 
 
-def base_spend(spec: SyntheticEconomySpec) -> dict[str, Decimal]:
-    """Mean spending per item over the spec's base months."""
-    spend = monthly_spend(spec)
+def _base_means(spec: SyntheticEconomySpec, spend) -> dict[str, Decimal]:
     base = spec.horizon()[: spec.base_months]
     with localcontext() as ctx:
         ctx.prec = _PREC
@@ -201,6 +210,11 @@ def base_spend(spec: SyntheticEconomySpec) -> dict[str, Decimal]:
         }
 
 
+def base_spend(spec: SyntheticEconomySpec) -> dict[str, Decimal]:
+    """Mean spending per item over the spec's base months."""
+    return _base_means(spec, monthly_spend(spec))
+
+
 def oracle_adjusted_weights(spec: SyntheticEconomySpec, month: Month) -> WeightVector:
     """Basket weights computed directly as spending shares P*Q / sum(P*Q).
 
@@ -208,20 +222,21 @@ def oracle_adjusted_weights(spec: SyntheticEconomySpec, month: Month) -> WeightV
     reweighting formula or the ingestion pipeline, which is what makes it
     usable as an independent oracle in tests.
     """
-    spec.validate()
+    spend = monthly_spend(spec)  # validates the spec
     if month not in spec.horizon():
         raise MonthOutOfRangeError(month)
-    spend = monthly_spend(spec)
     return normalize_weights(
         {item: float(path[month]) for item, path in spend.items()}, period=month
     )
 
 
+def _shares(means: Mapping[str, Decimal]) -> WeightVector:
+    return normalize_weights({item: float(v) for item, v in means.items()})
+
+
 def official_weights(spec: SyntheticEconomySpec) -> WeightVector:
     """Official weights: spending shares over the base period."""
-    return normalize_weights(
-        {item: float(v) for item, v in base_spend(spec).items()}
-    )
+    return _shares(base_spend(spec))
 
 
 @dataclass(frozen=True)
@@ -232,22 +247,20 @@ class GeneratedFiles:
 
 
 def _split_exact(total: Decimal, shares: list[Decimal]) -> list[Decimal]:
-    """Split a decimal into cent-quantized parts that sum back exactly."""
+    """Split a decimal into cent-quantized parts that sum back exactly; run at ``_PREC``."""
     parts = []
-    with localcontext() as ctx:
-        ctx.prec = _PREC
-        running = Decimal(0)
-        for s in shares[:-1]:
-            p = (total * s).quantize(_CENT)
-            parts.append(p)
-            running += p
-        parts.append(total - running)
-        if parts[-1] < 0 and len(parts) > 1:
-            # rounding pushed the remainder negative; shift it onto the
-            # largest earlier part so the sum stays exact
-            i = max(range(len(parts) - 1), key=lambda j: parts[j])
-            parts[i] += parts[-1]
-            parts[-1] = Decimal(0)
+    running = Decimal(0)
+    for s in shares[:-1]:
+        p = (total * s).quantize(_CENT)
+        parts.append(p)
+        running += p
+    parts.append(total - running)
+    if parts[-1] < 0 and len(parts) > 1:
+        # rounding pushed the remainder negative; shift it onto the
+        # largest earlier part so the sum stays exact
+        i = max(range(len(parts) - 1), key=lambda j: parts[j])
+        parts[i] += parts[-1]
+        parts[-1] = Decimal(0)
     return parts
 
 
@@ -257,52 +270,51 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
     Official weights are base-period spending shares; price relatives are
     the exact drift factors of the price paths (from the second month on);
     expenditures spread each category's monthly figure across a few random
-    days, with the split chosen so the records sum back exactly.
+    days, with the split chosen so the records sum back exactly. Records
+    are drawn item by item into per-day buckets, each written sorted by
+    category (unique within a day, as a category has one item).
     """
-    spec.validate()
+    spend = monthly_spend(spec)  # validates the spec
     rng = random.Random(spec.seed)
     horizon = spec.horizon()
-    spend = monthly_spend(spec)
 
-    wbuf = io.StringIO()
-    wbuf.write("item,weight\n")
-    for item, share in official_weights(spec).shares.items():
-        wbuf.write(f"{item},{share!r}\n")
-
-    pbuf = io.StringIO()
-    pbuf.write("item,period,relative\n")
+    weights = ["item,weight\n"]
+    for item, share in _shares(_base_means(spec, spend)).shares.items():
+        weights.append(f"{item},{share!r}\n")
+    prices = ["item,period,relative\n"]
     for it in spec.items:
-        for m in horizon[1:]:
-            pbuf.write(f"{it.id},{m},{spec.price_factor(it.id, m)}\n")
+        prices.extend(f"{it.id},{m},{spec.price_factor(it.id, m)}\n" for m in horizon[1:])
 
-    records: list[tuple[dt.date, str, Decimal]] = []
-    for it in spec.items:
-        for m in horizon:
-            cat_parts = _split_exact(
-                spend[it.id][m], [s for _, s in it.category_shares()]
-            )
-            for (cat, _), part in zip(it.category_shares(), cat_parts):
-                k = rng.randint(1, min(spec.max_records_per_month, m.days()))
-                if part < 1:  # too small to split into cent-quantized pieces
-                    k = 1
-                days = sorted(rng.sample(range(1, m.days() + 1), k))
-                cuts = [Decimal(rng.randint(1, 1000)) for _ in range(k)]
-                with localcontext() as ctx:
-                    ctx.prec = _PREC
-                    total_cut = sum(cuts, Decimal(0))
-                    day_parts = _split_exact(part, [c / total_cut for c in cuts])
-                for day, amount in zip(days, day_parts):
-                    records.append((dt.date(m.year, m.month, day), cat, amount))
-    records.sort(key=lambda r: (r[0], r[1]))
-    ebuf = io.StringIO()
-    ebuf.write("date,category,amount\n")
-    for date, cat, amount in records:
-        ebuf.write(f"{date.isoformat()},{cat},{amount}\n")
+    months = [(m, [[] for _ in range(m.days())]) for m in horizon]  # a bucket per day
+    cap = spec.max_records_per_month
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        for it in spec.items:
+            cats = it.category_shares()
+            shares = [s for _, s in cats]
+            path = spend[it.id]
+            for m, buckets in months:
+                n = len(buckets)
+                for (cat, _), part in zip(cats, _split_exact(path[m], shares)):
+                    k = rng.randint(1, min(cap, n))
+                    if part < 1:  # too small to split into cent-quantized pieces
+                        k = 1
+                    days = sorted(rng.sample(range(1, n + 1), k))
+                    cuts = [rng.randint(1, 1000) for _ in range(k)]
+                    total_cut = Decimal(sum(cuts))
+                    day_parts = _split_exact(part, [Decimal(c) / total_cut for c in cuts])
+                    for day, amount in zip(days, day_parts):
+                        buckets[day - 1].append((cat, amount))
+    ledger = ["date,category,amount\n"]
+    for m, buckets in months:
+        for day, bucket in enumerate(buckets, 1):
+            date = f"{m}-{day:02d}"
+            ledger.extend(f"{date},{cat},{amount}\n" for cat, amount in sorted(bucket))
 
     return GeneratedFiles(
-        weights_csv=wbuf.getvalue(),
-        prices_csv=pbuf.getvalue(),
-        expenditures_csv=ebuf.getvalue(),
+        weights_csv="".join(weights),
+        prices_csv="".join(prices),
+        expenditures_csv="".join(ledger),
     )
 
 
@@ -318,7 +330,8 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
 #                      "price_drifts": {"food": "1.002"}}]
 # }
 #
-# Numeric values are strings so they stay exact decimals.
+# Numeric values are strings so they stay exact decimals; `months`,
+# `base_months`, `seed` and `max_records_per_month` are JSON integers.
 
 
 def _dec(value, what: str) -> Decimal:
@@ -332,7 +345,7 @@ def parse_economy(text: str) -> SyntheticEconomySpec:
     """Parse the JSON description of a synthetic economy."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers too long to convert
         raise InvalidEconomySpecError(f"not valid JSON: {exc}")
     if not isinstance(doc, dict) or "items" not in doc or "months" not in doc:
         raise InvalidEconomySpecError("economy needs at least `items` and `months`")
@@ -372,16 +385,16 @@ def parse_economy(text: str) -> SyntheticEconomySpec:
             )
         spec = SyntheticEconomySpec(
             items=tuple(items),
-            months=int(doc["months"]),
+            months=doc["months"],
             start=Month.parse(doc.get("start", "2020-01")),
-            base_months=int(doc.get("base_months", 2)),
+            base_months=doc.get("base_months", 2),
             shock_windows=tuple(windows),
             base_drifts={
                 str(i): _dec(v, f"base drift {i}")
                 for i, v in doc.get("base_drifts", {}).items()
             },
-            seed=int(doc.get("seed", 0)),
-            max_records_per_month=int(doc.get("max_records_per_month", 5)),
+            seed=doc.get("seed", 0),
+            max_records_per_month=doc.get("max_records_per_month", 5),
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InvalidEconomySpecError(f"malformed economy description: {exc}")

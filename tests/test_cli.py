@@ -617,3 +617,75 @@ def test_compare_reports_the_first_problem_in_argument_order(example_result_text
     # the other order reports the malformed file
     proc = run_cli("compare", str(second), str(first), "--period", "2030-01")
     assert _input_error_report(proc, second)["error"] == "BasketflexError"
+
+
+def test_compare_names_the_result_that_lacks_the_period(example_result_text, tmp_path):
+    covering, lacking = tmp_path / "covering.json", tmp_path / "lacking.json"
+    covering.write_text(example_result_text)
+    doc = json.loads(example_result_text)
+    doc["bias"] = [b for b in doc["bias"] if b["period"] != "2020-05"]
+    lacking.write_text(json.dumps(doc))
+    for order in ((covering, lacking), (lacking, covering)):
+        proc = run_cli("compare", *map(str, order), "--period", "2020-05")
+        report = _input_error_report(proc, lacking)
+        assert report["error"] == "PeriodNotCoveredError"
+        assert report["period"] == "2020-05"
+    # neither covers 2030-01: the first in argument order is named
+    proc = run_cli("compare", str(lacking), str(covering), "--period", "2030-01")
+    assert _input_error_report(proc, lacking)["error"] == "PeriodNotCoveredError"
+
+
+def test_run_empty_country_flag_overrides_the_manifest(example_manifest, tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli("run", "--manifest", example_manifest, "--country", "", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "scenario_result.json").read_text())["country"] == ""
+
+
+@pytest.mark.parametrize("flag", ["--fixed-weight-month", "--out"])
+def test_run_empty_flag_exits_2_instead_of_using_the_manifest(example_dir, tmp_path, flag):
+    manifest = json.loads((example_dir / "manifest.json").read_text())
+    for key in ("weights", "prices", "expenditures", "crosswalk"):
+        manifest[key] = str(example_dir / manifest[key])
+    manifest.update(out=str(tmp_path / "from-manifest"), fixed_weight_month="2020-04")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    args = ["run", "--manifest", str(tmp_path / "manifest.json"), flag, ""]
+    if flag != "--out":
+        args += ["--out", str(tmp_path / "out")]
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert "internal" not in json.loads(proc.stderr.strip().splitlines()[-1])
+    assert not (tmp_path / "from-manifest").exists()
+    assert not (tmp_path / "out" / "scenario_result.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_records_per_month", 0),
+    ("months", 10**9),
+    ("months", 2.7),
+])
+def test_generate_refuses_unbounded_economies(example_dir, tmp_path, field, value):
+    doc = json.loads((example_dir / "economy.json").read_text())
+    doc[field] = value
+    economy = tmp_path / "economy.json"
+    economy.write_text(json.dumps(doc))
+    proc = run_cli("generate", "--economy", str(economy), "--out", str(tmp_path / "gen"))
+    report = _input_error_report(proc, economy)
+    assert report["error"] == "InvalidEconomySpecError"
+    assert field in report["message"]
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"country_label": 1' + "0" * 5000 + "}",  # an integer too long to convert
+    "[" * 100_000 + "]" * 100_000,
+], ids=["long-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unconvertible_json_exits_2(tmp_path, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    if command == "run":
+        proc = run_cli("run", "--manifest", str(path), "--out", str(tmp_path / "out"))
+    else:
+        proc = run_cli("compare", str(path), "--period", "2020-05")
+    assert "not valid JSON" in _input_error_report(proc, path)["message"]

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 from decimal import Decimal as D
 from fractions import Fraction
 
@@ -239,3 +241,114 @@ def test_parse_economy_rejects_garbage():
         synth.parse_economy(
             '{"months": 5, "items": [{"id": "a", "base_price": "zero"}]}'
         )
+
+
+def golden_economy():
+    """Twelve items over 26 months that reach every branch of the generator.
+
+    Items split across two and three categories; one item is unobserved;
+    ``stamps`` spends three cents a month, so its category parts fall below
+    one and each gets a single record; a shock window carries multipliers
+    and drifts; the record cap of 31 exceeds both Februaries' day counts.
+    """
+    plain = tuple(
+        synth.SyntheticItem(f"g{k}", D(100 + 37 * k) / 100, D(10 + 13 * k)) for k in range(8)
+    )
+    return synth.SyntheticEconomySpec(
+        items=(
+            synth.SyntheticItem("bread", D("2.35"), D(40),
+                                categories=(("bakery", D("0.6")), ("grocery", D("0.4")))),
+            synth.SyntheticItem("transit", D("1.8"), D(55), categories=(
+                ("bus", D("0.5")), ("rail", D("0.3")), ("taxi", D("0.2")))),
+            synth.SyntheticItem("stamps", D("0.01"), D(3),
+                                categories=(("post-a", D("0.5")), ("post-b", D("0.5")))),
+            synth.SyntheticItem("rent", D(900), D(1), categories=()),
+            *plain,
+        ),
+        months=26,
+        start=START,
+        base_months=3,
+        shock_windows=(
+            synth.ShockWindow(
+                Month(2020, 3), Month(2020, 6),
+                quantity_multipliers={"bread": D("1.3"), "transit": D("0.4"), "g1": D("0.7")},
+                price_drifts={"bread": D("1.004"), "g2": D("0.995"), "stamps": D("1.05")},
+            ),
+        ),
+        base_drifts={"g0": D("1.001"), "rent": D("1.003"), "transit": D("0.9995")},
+        seed=20240229,
+        max_records_per_month=31,
+    )
+
+
+# SHA-256 of the three generated files. Any change to the random draws, their
+# order, the decimal splits or the record order fails here.
+GOLDEN_SHA256 = {
+    "weights_csv": "8456d8e88199e97166ffe8f091061dddebda220fb6c03ede868f3f2147607e27",
+    "prices_csv": "5f4da48de8e83be8b1fe84fa5a52d4d37aec0e866a1933484cd61f7c14f2677f",
+    "expenditures_csv": "26dd56dc4c836ca6573488452c9a4e4966218274d3f6604a4c477a3cf7f42943",
+}
+
+
+def test_generate_matches_golden_hashes():
+    economy = golden_economy()
+    files = synth.generate(economy)
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256(getattr(files, name).encode()).hexdigest() == digest, name
+    # the spec reaches the branches it is meant to
+    ledger = files.expenditures_csv.splitlines()[1:]
+    stamps = [r for r in ledger if ",post-a," in r]
+    assert len(stamps) == economy.months
+    feb = [r for r in ledger if r.startswith("2021-02-") and ",g7," in r]
+    assert 1 <= len(feb) <= 28
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (dict(months=10**9), "months must lie in 2..1200"),
+    (dict(months=1201), "months must lie in 2..1200"),
+    (dict(max_records_per_month=0), "max_records_per_month"),
+    (dict(max_records_per_month=-3), "max_records_per_month"),
+    (dict(start=Month(9999, 1), months=13), "0001..9999"),
+    (dict(start=Month(0, 12), months=2), "0001..9999"),
+    (dict(months=2.5), "months must be an integer"),
+    (dict(seed="7"), "seed must be an integer"),
+])
+def test_size_caps_refuse_before_allocating(mutate, message):
+    import dataclasses
+
+    economy = dataclasses.replace(flat_economy(), **mutate)
+    with pytest.raises(InvalidEconomySpecError, match=message):
+        synth.generate(economy)
+    with pytest.raises(InvalidEconomySpecError, match=message):
+        synth.oracle_adjusted_weights(economy, START)
+
+
+def test_size_caps_admit_their_limits():
+    import dataclasses
+
+    economy = dataclasses.replace(
+        flat_economy(n_items=1), months=synth.MAX_MONTHS, start=Month(9900, 1),
+        max_records_per_month=1,
+    )
+    ledger = synth.generate(economy).expenditures_csv.splitlines()
+    assert len(ledger) == 1 + synth.MAX_MONTHS
+    assert ledger[-1].startswith("9999-12-")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("months", 2.7), ("months", "18"), ("months", True), ("months", 1e9),
+    ("base_months", 1.0), ("seed", 1.5), ("seed", "7"), ("seed", False),
+    ("max_records_per_month", 5.0), ("max_records_per_month", None),
+])
+def test_parse_economy_requires_integers(example_dir, field, value):
+    doc = json.loads((example_dir / "economy.json").read_text())
+    doc[field] = value
+    with pytest.raises(InvalidEconomySpecError, match=f"{field} must be an integer"):
+        synth.parse_economy(json.dumps(doc))
+
+
+def test_parse_economy_rejects_unconvertible_json():
+    with pytest.raises(InvalidEconomySpecError, match="not valid JSON"):
+        synth.parse_economy('{"items": [], "months": 1' + "0" * 5000 + "}")
+    with pytest.raises(InvalidEconomySpecError, match="not valid JSON"):
+        synth.parse_economy("[" * 100_000 + "]" * 100_000)
