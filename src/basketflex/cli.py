@@ -288,7 +288,7 @@ def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
         return None
 
     def flag_or(key, doc_key, default=None):
-        # an explicit flag wins even when empty
+        # an explicit flag wins even when empty; an empty manifest value keeps its meaning
         return flags[key] if flags.get(key) is not None else doc.get(doc_key, default)
 
     months = flags.get("base_months")
@@ -303,7 +303,9 @@ def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
     else:
         core_exclude = frozenset(doc.get("core_exclude", ()))
 
-    fixed = flag_or("fixed_weight_month", "fixed_weight_month")
+    fixed = flags.get("fixed_weight_month")
+    if fixed is None:
+        fixed = doc.get("fixed_weight_month") or None  # empty in a manifest: no freezing
     lockdowns = _parse_lockdowns(flag_or("lockdowns", "lockdowns"))
 
     fmt = flags.get("formats")
@@ -312,16 +314,18 @@ def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
     else:
         formats = tuple(doc.get("formats", ("csv", "json")))
 
-    out = flag_or("out", "out")
-    if not out:
-        raise BasketflexError("output directory missing or empty (--out or manifest `out`)")
+    out = flags.get("out")
+    if out == "":
+        raise BasketflexError("--out is empty")
+    if out is None and doc.get("out") is None:
+        raise BasketflexError("no output directory given (flag or manifest)")
 
     return RunManifest(
         weights=path_of("weights"),
         prices=path_of("prices"),
         expenditures=path_of("expenditures"),
         crosswalk=path_of("crosswalk"),
-        out=Path(out) if flags.get("out") is not None else root / out,
+        out=Path(out) if out is not None else root / doc["out"],
         base_months=base_months,
         core_exclude=core_exclude,
         fixed_weight_month=_parse_month(fixed) if fixed is not None else None,
@@ -473,7 +477,9 @@ def cmd_compare(results, period, out) -> None:
 
     def read(path: Path) -> analysis.ScenarioResult:
         result = _read_result(path)
-        result.bias_at(month)  # so a result that does not cover the period names its file
+        # checked here as well as in compare_countries (a scan of the bias
+        # rows) so that a result that does not cover the period names its file
+        result.bias_at(month)
         return result
 
     # read lazily, one result at a time; the first problem in argument order wins

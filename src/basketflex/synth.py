@@ -199,22 +199,6 @@ def monthly_spend(spec: SyntheticEconomySpec) -> dict[str, dict[Month, Decimal]]
     return out
 
 
-def _base_means(spec: SyntheticEconomySpec, spend) -> dict[str, Decimal]:
-    base = spec.horizon()[: spec.base_months]
-    with localcontext() as ctx:
-        ctx.prec = _PREC
-        n = Decimal(spec.base_months)
-        return {
-            item: sum((path[m] for m in base), Decimal(0)) / n
-            for item, path in spend.items()
-        }
-
-
-def base_spend(spec: SyntheticEconomySpec) -> dict[str, Decimal]:
-    """Mean spending per item over the spec's base months."""
-    return _base_means(spec, monthly_spend(spec))
-
-
 def oracle_adjusted_weights(spec: SyntheticEconomySpec, month: Month) -> WeightVector:
     """Basket weights computed directly as spending shares P*Q / sum(P*Q).
 
@@ -228,15 +212,6 @@ def oracle_adjusted_weights(spec: SyntheticEconomySpec, month: Month) -> WeightV
     return normalize_weights(
         {item: float(path[month]) for item, path in spend.items()}, period=month
     )
-
-
-def _shares(means: Mapping[str, Decimal]) -> WeightVector:
-    return normalize_weights({item: float(v) for item, v in means.items()})
-
-
-def official_weights(spec: SyntheticEconomySpec) -> WeightVector:
-    """Official weights: spending shares over the base period."""
-    return _shares(base_spend(spec))
 
 
 @dataclass(frozen=True)
@@ -278,8 +253,15 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
     rng = random.Random(spec.seed)
     horizon = spec.horizon()
 
+    with localcontext() as ctx:  # official weights: mean spending shares over the base months
+        ctx.prec = _PREC
+        n = Decimal(spec.base_months)
+        means = {
+            item: float(sum((path[m] for m in horizon[: spec.base_months]), Decimal(0)) / n)
+            for item, path in spend.items()
+        }
     weights = ["item,weight\n"]
-    for item, share in _shares(_base_means(spec, spend)).shares.items():
+    for item, share in normalize_weights(means).shares.items():
         weights.append(f"{item},{share!r}\n")
     prices = ["item,period,relative\n"]
     for it in spec.items:

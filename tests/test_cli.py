@@ -642,7 +642,28 @@ def test_run_empty_country_flag_overrides_the_manifest(example_manifest, tmp_pat
     assert json.loads((out / "scenario_result.json").read_text())["country"] == ""
 
 
-@pytest.mark.parametrize("flag", ["--fixed-weight-month", "--out"])
+def test_run_empty_lockdowns_flag_means_none(example_manifest, tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli("run", "--manifest", example_manifest, "--lockdowns", "", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "scenario_result.json").read_text())["config"]["lockdown_windows"] == []
+
+
+def test_run_empty_manifest_values_keep_their_meaning(example_dir, tmp_path):
+    # an empty `out` is the manifest's directory and an empty
+    # `fixed_weight_month` freezes nothing; only explicit flags are strict
+    manifest = json.loads((example_dir / "manifest.json").read_text())
+    for key in ("weights", "prices", "expenditures", "crosswalk"):
+        manifest[key] = str(example_dir / manifest[key])
+    manifest.update(out="", fixed_weight_month="")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("run", "--manifest", str(tmp_path / "manifest.json"))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "scenario_result.json").read_text())
+    assert doc["config"]["fixed_weight_month"] is None
+
+
+@pytest.mark.parametrize("flag", ["--fixed-weight-month", "--out", "--format"])
 def test_run_empty_flag_exits_2_instead_of_using_the_manifest(example_dir, tmp_path, flag):
     manifest = json.loads((example_dir / "manifest.json").read_text())
     for key in ("weights", "prices", "expenditures", "crosswalk"):
