@@ -26,6 +26,7 @@ from . import crosswalk as cw
 from . import ingest
 from .core import (
     BiasPoint,
+    ExpenditureRelativeVector,
     InflationPoint,
     ItemId,
     PriceRelativeSeries,
@@ -159,13 +160,45 @@ def run_scenario(
     same way, otherwise the asymmetry would fabricate bias), annual rates,
     and the bias series. When ``config.fixed_weight_month`` is set, adjusted
     weights are frozen at that month's values for every period.
+
+    This is :func:`expenditure_relatives` followed by :func:`price_scenario`;
+    call the two steps to release the panel before pricing.
+    """
+    return price_scenario(
+        config, weights, prices, expenditure_relatives(config, weights, panel, spec)
+    )
+
+
+def expenditure_relatives(
+    config: ScenarioConfig,
+    weights: WeightVector,
+    panel: ingest.ExpenditurePanel,
+    spec: cw.CrosswalkSpec,
+) -> dict[Month, ExpenditureRelativeVector]:
+    """Each panel month's expenditure relatives against the base period.
+
+    The spec is validated against the basket items and the panel's
+    categories first.
     """
     findings = cw.validate(spec, set(weights.shares), panel.categories)
     if findings:
         raise SpecInvalidError(findings)
     base = ingest.base_period(panel, config.base_months, per_day=config.per_day_base)
-    rel_by_month = cw.apply(spec, panel, base, per_day=config.per_day_base)
+    return cw.apply(spec, panel, base, per_day=config.per_day_base)
 
+
+def price_scenario(
+    config: ScenarioConfig,
+    weights: WeightVector,
+    prices: Mapping[ItemId, PriceRelativeSeries],
+    relatives: dict[Month, ExpenditureRelativeVector],
+) -> ScenarioResult:
+    """Reweight and price the baskets given each month's expenditure relatives.
+
+    ``relatives`` is consumed: it is emptied once the adjusted weights
+    exist. The core-adjusted vectors, which the result does not keep, are
+    built and priced before the other baskets and dropped.
+    """
     for item in weights.shares:
         if item not in prices:
             raise MissingPriceRelativeError(item)
@@ -175,7 +208,7 @@ def run_scenario(
     if end < start:
         raise NoOverlappingPeriodsError("price series share no common months")
     priced_months = month_range(start, end)
-    axis = [m for m in priced_months if m in rel_by_month]
+    axis = [m for m in priced_months if m in relatives]
     if not axis:
         raise NoOverlappingPeriodsError(
             "expenditure panel and price series share no months"
@@ -183,21 +216,21 @@ def run_scenario(
     log.info("scenario axis: %s..%s, %d months", axis[0], axis[-1], len(axis))
     log.info(
         "months dropped: no expenditure relatives [%s]; no price relatives [%s]",
-        _month_list(m for m in priced_months if m not in rel_by_month),
-        _month_list(m for m in sorted(rel_by_month) if not start <= m <= end),
+        _month_list(m for m in priced_months if m not in relatives),
+        _month_list(m for m in sorted(relatives) if not start <= m <= end),
     )
 
     if config.fixed_weight_month is not None:
         if config.fixed_weight_month not in axis:
             raise FixedMonthOutOfRangeError(config.fixed_weight_month)
-        frozen = adjusted_weights(weights, rel_by_month[config.fixed_weight_month])
+        frozen = adjusted_weights(weights, relatives[config.fixed_weight_month])
         adj_vectors = [replace(frozen, period=m) for m in axis]
     else:
-        adj_vectors = [adjusted_weights(weights, rel_by_month[m]) for m in axis]
+        adj_vectors = [adjusted_weights(weights, relatives[m]) for m in axis]
+    relatives.clear()
     off_vectors = [replace(weights, period=m) for m in axis]
 
     core_off = exclude_items(weights, config.core_exclusions)
-    core_adj_vectors = [exclude_items(v, config.core_exclusions) for v in adj_vectors]
     core_prices = {i: s for i, s in basket_prices.items() if i in core_off.shares}
 
     def priced(vectors, prices) -> list[InflationPoint]:
@@ -210,10 +243,11 @@ def run_scenario(
             for i, (p, v) in enumerate(zip(points, vectors))
         ]
 
+    core_adj_pts = priced([exclude_items(v, config.core_exclusions) for v in adj_vectors],
+                          core_prices)
     official_pts = priced(off_vectors, basket_prices)
     adjusted_pts = priced(adj_vectors, basket_prices)
     core_off_pts = priced([core_off] * len(axis), core_prices)
-    core_adj_pts = priced(core_adj_vectors, core_prices)
 
     return ScenarioResult(
         config=config,

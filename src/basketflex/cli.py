@@ -40,10 +40,15 @@ def _write_atomic(path: Path, data) -> None:
     ``data`` is a ``str`` or an iterable of ``str`` chunks, so large outputs
     can be streamed. The file gets the mode a plain ``open`` would give it
     (``0o666`` less the umask), not the temp file's ``0o600``. On any
-    exception the temp file is removed and ``path`` is left as it was.
+    exception the temp file is removed and ``path`` is left as it was; an
+    ``OSError`` (the directory is a file, ``path`` is a directory, no
+    permission) becomes a ``BasketflexError`` carrying ``path``.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             if isinstance(data, str):
@@ -52,10 +57,18 @@ def _write_atomic(path: Path, data) -> None:
                 fh.writelines(data)
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise _cannot_write(path, exc) from exc
         raise
+
+
+def _cannot_write(path: Path, exc: OSError) -> BasketflexError:
+    err = BasketflexError(f"cannot write {path}: {exc.strerror or exc}")
+    err.path = str(path)
+    return err
 
 
 def _umask() -> int:
@@ -400,8 +413,13 @@ def cmd_run(manifest, **flags) -> None:
     """Run a scenario and write result files into --out."""
     m = _manifest_from(Path(manifest) if manifest else None, **flags)
     m.check()
-    # no local name holds the inputs, so they are freed once the result exists
-    result = analysis.run_scenario(m.config(), *_load_inputs(m))
+    config = m.config()
+    # the panel and spec are freed before pricing, the other inputs before writing
+    weights, prices, panel, spec = _load_inputs(m)
+    relatives = analysis.expenditure_relatives(config, weights, panel, spec)
+    del panel, spec
+    result = analysis.price_scenario(config, weights, prices, relatives)
+    del weights, prices, relatives
 
     written = []
     if "json" in m.formats:

@@ -85,34 +85,50 @@ class ExpenditurePanel:
     """
 
     def __init__(self, months: Iterable[Month], totals: dict[tuple[CategoryId, Month], Decimal]):
-        self.months: tuple[Month, ...] = tuple(months)
-        if not self.months:
-            raise EmptyInputError("panel covers no months")
-        if not is_consecutive(self.months):
-            raise ValueError("panel months must be consecutive")
-        self.categories: tuple[CategoryId, ...] = tuple(
-            sorted({c for c, _ in totals})
-        )
-        if not self.categories:
-            raise EmptyInputError("panel has no categories")
-        self._pos = {m: k for k, m in enumerate(self.months)}
-        self._totals = {c: [_ZERO] * len(self.months) for c in self.categories}
+        months = tuple(months)
+        pos = {m: k for k, m in enumerate(months)}
+        columns = {c: [_ZERO] * len(months) for c in sorted({c for c, _ in totals})}
         filled = 0
         for (c, m), v in totals.items():
-            k = self._pos.get(m)
+            k = pos.get(m)
             if k is not None:
-                self._totals[c][k] = v
+                columns[c][k] = v
                 filled += 1
-        for c, column in self._totals.items():
-            for m, v in zip(self.months, column):
+        self._adopt(months, columns, filled)
+
+    @classmethod
+    def _of_columns(
+        cls, months: tuple[Month, ...], columns: dict[CategoryId, list[Decimal]], filled: int
+    ) -> ExpenditurePanel:
+        """A panel that takes ``columns`` (sorted by category) as its table."""
+        panel = cls.__new__(cls)
+        panel._adopt(months, columns, filled)
+        return panel
+
+    def _adopt(
+        self, months: tuple[Month, ...], columns: dict[CategoryId, list[Decimal]], filled: int
+    ) -> None:
+        """Check and keep the table; ``filled`` counts the cells that had records."""
+        if not months:
+            raise EmptyInputError("panel covers no months")
+        if not is_consecutive(months):
+            raise ValueError("panel months must be consecutive")
+        if not columns:
+            raise EmptyInputError("panel has no categories")
+        self.months: tuple[Month, ...] = months
+        self.categories: tuple[CategoryId, ...] = tuple(columns)
+        self._pos = {m: k for k, m in enumerate(months)}
+        self._totals = columns
+        for c, column in columns.items():
+            for m, v in zip(months, column):
                 if v < 0:
                     raise NegativeTotalError(c, m)
-        missing = len(self.categories) * len(self.months) - filled
+        missing = len(columns) * len(months) - filled
         if missing:
             warnings.warn(
                 f"{missing} category-month cells had no records and were set to 0",
                 MissingCellWarning,
-                stacklevel=2,
+                stacklevel=3,  # the constructor's caller, or _fold
             )
 
     def total(self, category: CategoryId, month: Month) -> Decimal:
@@ -158,10 +174,12 @@ def _fold(
 ) -> ExpenditurePanel:
     """Accumulate (line, date, category, amount) rows into a panel.
 
-    Cells are keyed by month index and ``Month`` objects are built once per
-    month at the end, because hashing a dataclass per row dominates the loop.
+    Each category sums into a dict keyed by month index, because hashing a
+    ``Month`` (or a tuple key) per row dominates the loop; ``Month`` objects
+    are built once per month at the end, and each dict is dropped as its
+    column of the panel is built.
     """
-    sums: dict[tuple[CategoryId, int], Decimal] = {}
+    sums: dict[CategoryId, dict[int, Decimal]] = {}
     month_of: dict[dt.date, int] = {}
     low = -AMOUNT_LIMIT
     with localcontext() as ctx:
@@ -179,12 +197,15 @@ def _fold(
             m = month_of.get(date)
             if m is None:
                 m = month_of[date] = Month.of_date(date).index
-            key = (category, m)
-            sums[key] = sums.get(key, _ZERO) + amount
+            cells = sums.get(category)
+            if cells is None:
+                cells = sums[category] = {}
+            cells[m] = cells.get(m, _ZERO) + amount
     if not sums:
         raise EmptyInputError("no expenditure records")
-    seen = {m for _, m in sums}
-    months = month_range(Month.from_index(min(seen)), Month.from_index(max(seen)))
+    seen = set().union(*sums.values())
+    first, last = min(seen), max(seen)
+    months = tuple(month_range(Month.from_index(first), Month.from_index(last)))
     empty = [m for m in months if m.index not in seen]
     if empty:
         warnings.warn(
@@ -192,12 +213,12 @@ def _fold(
             GapWarning,
             stacklevel=3,
         )
-    by_index = {m.index: m for m in months}
-    totals = {}
-    while sums:  # re-keyed cell by cell, so ``sums`` and ``totals`` are never both whole
-        (c, m), v = sums.popitem()
-        totals[c, by_index[m]] = v
-    return ExpenditurePanel(months, totals)
+    columns, filled = {}, 0
+    for c in sorted(sums):
+        cells = sums.pop(c)
+        columns[c] = [cells.get(k, _ZERO) for k in range(first, last + 1)]
+        filled += len(cells)
+    return ExpenditurePanel._of_columns(months, columns, filled)
 
 
 def base_period(

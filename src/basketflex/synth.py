@@ -180,22 +180,31 @@ class SyntheticEconomySpec:
         return _ONE
 
 
-def monthly_spend(spec: SyntheticEconomySpec) -> dict[str, dict[Month, Decimal]]:
-    """Exact nominal spending per item and month implied by the spec."""
+def monthly_spend(
+    spec: SyntheticEconomySpec, factors: dict[str, list[Decimal]] | None = None
+) -> dict[str, dict[Month, Decimal]]:
+    """Exact nominal spending per item and month implied by the spec.
+
+    When ``factors`` is given, it receives each item's price factors from
+    the second month on, the ones its spending path was built from.
+    """
     spec.validate()
     horizon = spec.horizon()
     out: dict[str, dict[Month, Decimal]] = {}
     with localcontext() as ctx:
         ctx.prec = _PREC
         for it in spec.items:
+            steps = [spec.price_factor(it.id, m) for m in horizon[1:]]
             price = Decimal(it.base_price)
             path: dict[Month, Decimal] = {}
             for i, m in enumerate(horizon):
                 if i > 0:
-                    price *= spec.price_factor(it.id, m)
+                    price *= steps[i - 1]
                 qty = Decimal(it.base_quantity) * spec.quantity_multiplier(it.id, m)
                 path[m] = price * qty
             out[it.id] = path
+            if factors is not None:
+                factors[it.id] = steps
     return out
 
 
@@ -249,7 +258,8 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
     are drawn item by item into per-day buckets, each written sorted by
     category (unique within a day, as a category has one item).
     """
-    spend = monthly_spend(spec)  # validates the spec
+    factors: dict[str, list[Decimal]] = {}
+    spend = monthly_spend(spec, factors)  # validates the spec
     rng = random.Random(spec.seed)
     horizon = spec.horizon()
 
@@ -264,8 +274,8 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
     for item, share in normalize_weights(means).shares.items():
         weights.append(f"{item},{share!r}\n")
     prices = ["item,period,relative\n"]
-    for it in spec.items:
-        prices.extend(f"{it.id},{m},{spec.price_factor(it.id, m)}\n" for m in horizon[1:])
+    for item, steps in factors.items():
+        prices.extend(f"{item},{m},{f}\n" for m, f in zip(horizon[1:], steps))
 
     months = [(m, [[] for _ in range(m.days())]) for m in horizon]  # a bucket per day
     cap = spec.max_records_per_month

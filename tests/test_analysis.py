@@ -3,6 +3,7 @@ import dataclasses
 import datetime as dt
 import io
 import math
+import tracemalloc
 from decimal import Decimal as D
 
 import pytest
@@ -138,6 +139,38 @@ def test_core_series_renormalizes_both_baskets():
     assert point.monthly_pct == pytest.approx(expect, abs=1e-12)
     for p in result.core_adjusted:
         assert set(p.contributions) == {"a", "c"}
+
+
+def test_two_steps_compose_to_run_scenario():
+    weights, prices, panel, spec = load_economy_inputs(priced_economy())
+    config = ScenarioConfig(base_months=BASE, core_exclusions=frozenset({"b"}))
+    relatives = analysis.expenditure_relatives(config, weights, panel, spec)
+    assert sorted(relatives) == list(panel.months)
+    result = analysis.price_scenario(config, weights, prices, relatives)
+    assert relatives == {}  # consumed once the adjusted weights exist
+    assert result == analysis.run_scenario(config, weights, prices, panel, spec)
+
+
+def test_run_scenario_peak_stays_near_its_result():
+    # the relatives go once the adjusted weights exist, and the core-adjusted
+    # vectors once priced, before the other baskets: the peak was 1.4x the
+    # result while all of them lived to the end
+    items = tuple(synth.SyntheticItem(f"i{k:02d}", D(1 + k % 5), D(40 + k)) for k in range(40))
+    economy = synth.SyntheticEconomySpec(
+        items=items, months=24, start=START, seed=9, max_records_per_month=2,
+        base_drifts={it.id: D(1) + D(k % 7) / 1000 for k, it in enumerate(items)},
+    )
+    weights, prices, panel, spec = load_economy_inputs(economy)
+    config = ScenarioConfig(base_months=BASE, core_exclusions=frozenset({"i00", "i01", "i02"}))
+    analysis.run_scenario(config, weights, prices, panel, spec)  # warm-up
+    tracemalloc.start()
+    try:
+        result = analysis.run_scenario(config, weights, prices, panel, spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.periods) == 23  # prices start in the second month
+    assert peak < 1.2 * retained, (peak, retained)
 
 
 def test_unknown_core_exclusion_fails():

@@ -498,6 +498,27 @@ def test_outputs_are_written_atomically(example_manifest, tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("command, out, written", [
+    ("generate", "a-file", "a-file/weights.csv"),
+    ("generate", "a-file/sub", "a-file/sub/weights.csv"),
+    ("compare", "a-dir", "a-dir"),
+    ("compare", "a-file/table.csv", "a-file/table.csv"),
+])
+def test_unusable_out_path_exits_2(example_dir, example_result_text, tmp_path, command, out,
+                                   written):
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    if command == "generate":
+        args = ["generate", "--economy", str(example_dir / "economy.json")]
+    else:
+        result = tmp_path / "result.json"
+        result.write_text(example_result_text)
+        args = ["compare", str(result), "--period", "2020-05"]
+    proc = run_cli(*args, "--out", str(tmp_path / out))
+    _input_error_report(proc, tmp_path / written)
+    assert list(tmp_path.rglob(".tmp-*")) == []
+
+
 @pytest.mark.parametrize("extra, flags, bad_line", [
     ("2020-03-05,fuel,1e999999999\n", (), 610),
     ("2020-03-05,fuel,-1e999999999\n", ("--allow-negative-amounts",), 610),

@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import random
+import tracemalloc
 import warnings
 from decimal import Decimal as D
 
@@ -154,6 +155,40 @@ def test_panel_table_keeps_its_contract():
             [jan, feb], {("b", jan): D("-2"), ("a", jan): D("1"), ("a", feb): D("-1")}
         )
     assert (exc.value.category, exc.value.period) == ("a", feb)
+
+
+def test_panel_warnings_keep_their_stacklevel():
+    jan = Month(2020, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ingest.ExpenditurePanel([jan, Month(2020, 2)], {("a", jan): D("1")})
+        ingest.read_expenditure_panel(
+            io.StringIO("date,category,amount\n2020-01-05,a,1\n2020-03-05,b,1\n")
+        )
+    assert [(w.category, w.filename) for w in caught] == [
+        (MissingCellWarning, __file__),  # the constructor's caller
+        (GapWarning, __file__),  # the reader's caller
+        (MissingCellWarning, ingest.__file__),  # the fold
+    ]
+
+
+def test_read_panel_peak_stays_near_the_panel(tmp_path):
+    # the fold keeps one month dict per category, with no tuple-keyed cell
+    # dict and no re-keyed copy beside it: 1.75x the panel here, where the
+    # tuple-keyed fold peaked at 2.35x
+    items = tuple(synth.SyntheticItem(f"c{k:03d}", D(1 + k % 7), D(100 + k)) for k in range(150))
+    spec = synth.SyntheticEconomySpec(items=items, months=12, seed=5, max_records_per_month=6)
+    path = tmp_path / "expenditures.csv"
+    path.write_text(synth.generate(spec).expenditures_csv)
+    ingest.read_expenditure_panel(path)  # warm-up: first-use imports and caches
+    tracemalloc.start()
+    try:
+        panel = ingest.read_expenditure_panel(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(panel.categories) == 150 and len(panel.months) == 12
+    assert peak < 2.0 * retained, (peak, retained)
 
 
 # --- base_period ------------------------------------------------------------
