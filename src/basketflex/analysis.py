@@ -161,15 +161,15 @@ def run_scenario(
     and the bias series. When ``config.fixed_weight_month`` is set, adjusted
     weights are frozen at that month's values for every period.
 
-    This is :func:`expenditure_relatives` followed by :func:`price_scenario`;
-    call the two steps to release the panel before pricing.
+    This is :func:`_expenditure_relatives` followed by :func:`_price_scenario`;
+    ``run`` calls the two steps itself to release the panel before pricing.
     """
-    return price_scenario(
-        config, weights, prices, expenditure_relatives(config, weights, panel, spec)
+    return _price_scenario(
+        config, weights, prices, _expenditure_relatives(config, weights, panel, spec)
     )
 
 
-def expenditure_relatives(
+def _expenditure_relatives(
     config: ScenarioConfig,
     weights: WeightVector,
     panel: ingest.ExpenditurePanel,
@@ -187,7 +187,7 @@ def expenditure_relatives(
     return cw.apply(spec, panel, base, per_day=config.per_day_base)
 
 
-def price_scenario(
+def _price_scenario(
     config: ScenarioConfig,
     weights: WeightVector,
     prices: Mapping[ItemId, PriceRelativeSeries],

@@ -47,28 +47,22 @@ def _write_atomic(path: Path, data) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                if isinstance(data, str):
+                    fh.write(data)
+                else:
+                    fh.writelines(data)
+                os.fchmod(fh.fileno(), 0o666 & ~_umask())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
-        raise _cannot_write(path, exc) from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            if isinstance(data, str):
-                fh.write(data)
-            else:
-                fh.writelines(data)
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise _cannot_write(path, exc) from exc
-        raise
-
-
-def _cannot_write(path: Path, exc: OSError) -> BasketflexError:
-    err = BasketflexError(f"cannot write {path}: {exc.strerror or exc}")
-    err.path = str(path)
-    return err
+        err = BasketflexError(f"cannot write {path}: {exc.strerror or exc}")
+        err.path = str(path)
+        raise err from exc
 
 
 def _umask() -> int:
@@ -416,9 +410,9 @@ def cmd_run(manifest, **flags) -> None:
     config = m.config()
     # the panel and spec are freed before pricing, the other inputs before writing
     weights, prices, panel, spec = _load_inputs(m)
-    relatives = analysis.expenditure_relatives(config, weights, panel, spec)
+    relatives = analysis._expenditure_relatives(config, weights, panel, spec)
     del panel, spec
-    result = analysis.price_scenario(config, weights, prices, relatives)
+    result = analysis._price_scenario(config, weights, prices, relatives)
     del weights, prices, relatives
 
     written = []

@@ -144,9 +144,9 @@ def test_core_series_renormalizes_both_baskets():
 def test_two_steps_compose_to_run_scenario():
     weights, prices, panel, spec = load_economy_inputs(priced_economy())
     config = ScenarioConfig(base_months=BASE, core_exclusions=frozenset({"b"}))
-    relatives = analysis.expenditure_relatives(config, weights, panel, spec)
+    relatives = analysis._expenditure_relatives(config, weights, panel, spec)
     assert sorted(relatives) == list(panel.months)
-    result = analysis.price_scenario(config, weights, prices, relatives)
+    result = analysis._price_scenario(config, weights, prices, relatives)
     assert relatives == {}  # consumed once the adjusted weights exist
     assert result == analysis.run_scenario(config, weights, prices, panel, spec)
 
