@@ -1,55 +1,48 @@
-"""Consumer-price inflation under expenditure-adjusted basket weights."""
+"""Consumer-price inflation under expenditure-adjusted basket weights.
 
-from importlib import resources
+Public names and submodules load on first access (PEP 562).
+"""
+
+import importlib
 from pathlib import Path
 
-from .analysis import (
-    CountryBias,
-    ScenarioConfig,
-    ScenarioResult,
-    compare_countries,
-    run_scenario,
-)
-from .core import (
-    BiasPoint,
-    ExpenditureRelativeVector,
-    InflationPoint,
-    PriceRelativeSeries,
-    WeightVector,
-    adjusted_weights,
-    chain_annual,
-    exclude_items,
-    fixed_base_annual,
-    monthly_inflation,
-    normalize_weights,
-    weighting_bias,
-)
-from .crosswalk import CrosswalkSpec, Reassignment, Rule, identity_spec
-from .ingest import (
-    DailyExpenditureRecord,
-    ExpenditurePanel,
-    aggregate_daily,
-    base_period,
-    load_expenditures,
-    load_prices,
-    load_weights,
-    read_expenditure_panel,
-)
-from .periods import Month, month_range
-from .synth import (
-    GeneratedFiles,
-    ShockWindow,
-    SyntheticEconomySpec,
-    SyntheticItem,
-    generate,
-    oracle_adjusted_weights,
-)
-
 __version__ = "0.1.0"
+
+_SUBMODULES = ("analysis", "cli", "core", "crosswalk", "errors", "ingest", "periods", "synth")
+
+# public name -> the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "analysis": "CountryBias ScenarioConfig ScenarioResult compare_countries run_scenario",
+        "core": "BiasPoint ExpenditureRelativeVector InflationPoint PriceRelativeSeries "
+                "WeightVector adjusted_weights chain_annual exclude_items fixed_base_annual "
+                "monthly_inflation normalize_weights weighting_bias",
+        "crosswalk": "CrosswalkSpec Reassignment Rule identity_spec",
+        "ingest": "DailyExpenditureRecord ExpenditurePanel aggregate_daily base_period "
+                  "load_expenditures load_prices load_weights read_expenditure_panel",
+        "periods": "Month month_range",
+        "synth": "GeneratedFiles ShockWindow SyntheticEconomySpec SyntheticItem generate "
+                 "oracle_adjusted_weights",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 
 def data_path(*parts: str) -> Path:
     """Path to a bundled data file, e.g. ``data_path('example', 'manifest.json')``."""
+    from importlib import resources
+
     return Path(str(resources.files(__package__))) / "data" / Path(*parts)
 
 
@@ -63,45 +56,4 @@ def example_manifest_path() -> Path:
     return data_path("example", "manifest.json")
 
 
-__all__ = [
-    "BiasPoint",
-    "CountryBias",
-    "CrosswalkSpec",
-    "DailyExpenditureRecord",
-    "ExpenditurePanel",
-    "ExpenditureRelativeVector",
-    "GeneratedFiles",
-    "InflationPoint",
-    "Month",
-    "PriceRelativeSeries",
-    "Reassignment",
-    "Rule",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "ShockWindow",
-    "SyntheticEconomySpec",
-    "SyntheticItem",
-    "WeightVector",
-    "adjusted_weights",
-    "aggregate_daily",
-    "base_period",
-    "chain_annual",
-    "compare_countries",
-    "data_path",
-    "default_crosswalk_path",
-    "example_manifest_path",
-    "exclude_items",
-    "fixed_base_annual",
-    "generate",
-    "identity_spec",
-    "load_expenditures",
-    "load_prices",
-    "load_weights",
-    "month_range",
-    "monthly_inflation",
-    "normalize_weights",
-    "oracle_adjusted_weights",
-    "read_expenditure_panel",
-    "run_scenario",
-    "weighting_bias",
-]
+__all__ = sorted([*_EXPORTS, "data_path", "default_crosswalk_path", "example_manifest_path"])

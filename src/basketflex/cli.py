@@ -1,15 +1,19 @@
 """Command-line front end composing the pipeline.
 
 Batch-oriented: every command reads files, writes files and exits. Exit
-codes are 0 on success, 2 on input or validation problems (with a
-machine-readable JSON error report on stderr) and 3 on internal errors.
-Output files are written atomically (temp file, then rename) and are
-byte-identical across runs for identical inputs. Set ``BASKETFLEX_LOG`` to
-``debug``/``info``/``warning`` to control verbosity.
+codes are 0 on success, 2 on a usage error or an input or validation problem
+(with a machine-readable JSON error report as the last line of stderr) and 3
+on internal errors. Output files are written atomically (temp file, then
+rename) and are byte-identical across runs for identical inputs. Set
+``BASKETFLEX_LOG`` to ``debug``, ``info``, ``warning``, ``error`` or
+``critical`` (any case; anything else means ``warning``) to control verbosity.
+
+Arguments are parsed with :mod:`argparse`; only ``generate`` imports ``synth``.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import datetime as dt
 import io
@@ -21,12 +25,11 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
-import click
-
-from . import analysis, crosswalk, ingest, synth
+from . import analysis, crosswalk, ingest
 from .analysis import ScenarioConfig
-from .errors import BasketflexError, ConfigError
+from .errors import BasketflexError, ConfigError, UsageError
 from .periods import Month
 
 log = logging.getLogger("basketflex")
@@ -141,23 +144,15 @@ def _parse_date(text: str) -> dt.date:
 
 def _parse_lockdowns(value) -> tuple[tuple[dt.date, dt.date], ...]:
     """Accept 'start:end,start:end' strings or [[start, end], ...] lists."""
-    if not value:
-        return ()
-    windows = []
     if isinstance(value, str):
-        for chunk in value.split(","):
-            if not chunk.strip():
-                continue
-            try:
-                a, b = chunk.split(":")
-            except ValueError:
-                raise BasketflexError(
-                    f"bad lockdown window {chunk!r}; expected START:END dates"
-                )
-            windows.append((_parse_date(a), _parse_date(b)))
-    else:
-        for a, b in value:
-            windows.append((_parse_date(a), _parse_date(b)))
+        value = [chunk.split(":") for chunk in value.split(",") if chunk.strip()]
+    windows = []
+    for pair in value or ():
+        if len(pair) != 2:
+            raise BasketflexError(
+                f"bad lockdown window {':'.join(pair)!r}; expected START:END dates"
+            )
+        windows.append((_parse_date(pair[0]), _parse_date(pair[1])))
     return tuple(windows)
 
 
@@ -358,54 +353,64 @@ def _load_inputs(m: RunManifest):
     return weights, prices, panel, spec
 
 
-_SHARED_RUN_OPTIONS = [
-    click.option("--manifest", type=click.Path(exists=True, dir_okay=False), default=None,
-                 help="JSON manifest carrying any of the other options."),
-    click.option("--weights", type=click.Path(), default=None, help="weights.csv path."),
-    click.option("--prices", type=click.Path(), default=None, help="prices.csv path."),
-    click.option("--expenditures", type=click.Path(), default=None,
-                 help="expenditures.csv path (daily records)."),
-    click.option("--crosswalk", type=click.Path(), default=None,
-                 help="Crosswalk spec YAML path."),
-    click.option("--base-months", default=None,
-                 help="Comma-separated base months, e.g. 2020-01,2020-02."),
-    click.option("--allow-negative-amounts", is_flag=True, default=False,
-                 help="Accept negative daily amounts (refunds/chargebacks)."),
-]
+def _input_file(text: str) -> Path:
+    """argparse type of a path that must name an existing file."""
+    path = Path(text)
+    if not path.is_file():
+        exc = BasketflexError(f"{'not a file' if path.exists() else 'file not found'}: {text}")
+        exc.path = text
+        raise exc
+    return path
 
 
-def _with_options(options):
-    def wrap(f):
-        for opt in reversed(options):
-            f = opt(f)
-        return f
-    return wrap
+def _option(*names: str, **kwargs):
+    return names, kwargs
 
 
-@click.group()
-def cli() -> None:
-    """Inflation under expenditure-adjusted basket weights."""
+def _command(name: str, *options):
+    """Turn a function into a subcommand record with these argparse options.
+
+    ``dispatch`` looks ``callback`` up on the record each time the command
+    runs, so a wrapper assigned to it (a tracer, say) takes effect.
+    """
+    def register(callback) -> SimpleNamespace:
+        return SimpleNamespace(name=name, callback=callback, options=options,
+                               help=callback.__doc__)
+    return register
 
 
-@cli.command("run")
-@_with_options(_SHARED_RUN_OPTIONS)
-@click.option("--core-exclude", default=None,
-              help="Comma-separated items excluded from the core index.")
-@click.option("--fixed-weight-month", default=None,
-              help="Freeze adjusted weights at this month (robustness variant).")
-@click.option("--lockdowns", default=None,
-              help="Lockdown windows as START:END dates, comma separated (annotation only).")
-@click.option("--country", default=None, help="Label used in comparisons and outputs.")
-@click.option("--annual-method", type=click.Choice(analysis.ANNUAL_METHODS), default=None,
-              help="How 12-month rates are built (default: chained).")
-@click.option("--per-day-base", is_flag=True, default=False,
-              help="Normalize month totals by day count before ratios.")
-@click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--format", "formats", default=None,
-              help="Comma-separated outputs to write: csv, json (default both).")
+_SHARED_RUN_OPTIONS = (
+    _option("--manifest", type=_input_file,
+            help="JSON manifest carrying any of the other options."),
+    _option("--weights", help="weights.csv path."),
+    _option("--prices", help="prices.csv path."),
+    _option("--expenditures", help="expenditures.csv path (daily records)."),
+    _option("--crosswalk", help="Crosswalk spec YAML path."),
+    _option("--base-months", help="Comma-separated base months, e.g. 2020-01,2020-02."),
+    _option("--allow-negative-amounts", action="store_true",
+            help="Accept negative daily amounts (refunds/chargebacks)."),
+)
+
+
+@_command(
+    "run", *_SHARED_RUN_OPTIONS,
+    _option("--core-exclude", help="Comma-separated items excluded from the core index."),
+    _option("--fixed-weight-month",
+            help="Freeze adjusted weights at this month (robustness variant)."),
+    _option("--lockdowns",
+            help="Lockdown windows as START:END dates, comma separated (annotation only)."),
+    _option("--country", help="Label used in comparisons and outputs."),
+    _option("--annual-method", choices=analysis.ANNUAL_METHODS,
+            help="How 12-month rates are built (default: chained)."),
+    _option("--per-day-base", action="store_true",
+            help="Normalize month totals by day count before ratios."),
+    _option("--out", help="Output directory."),
+    _option("--format", dest="formats",
+            help="Comma-separated outputs to write: csv, json (default both)."),
+)
 def cmd_run(manifest, **flags) -> None:
     """Run a scenario and write result files into --out."""
-    m = _manifest_from(Path(manifest) if manifest else None, **flags)
+    m = _manifest_from(manifest, **flags)
     m.check()
     config = m.config()
     # the panel and spec are freed before pricing, the other inputs before writing
@@ -433,39 +438,42 @@ def cmd_run(manifest, **flags) -> None:
             _write_atomic(m.out / name, rows(result))
             written.append(name)
 
-    click.echo(f"scenario {result.config.variant}: {result.periods[0]}..{result.periods[-1]}")
+    print(f"scenario {result.config.variant}: {result.periods[0]}..{result.periods[-1]}")
     for name in written:
-        click.echo(f"wrote {m.out / name}")
+        print(f"wrote {m.out / name}")
 
 
-@cli.command("validate")
-@_with_options(_SHARED_RUN_OPTIONS)
+@_command("validate", *_SHARED_RUN_OPTIONS)
 def cmd_validate(manifest, **flags) -> None:
     """Check inputs and crosswalk coverage without running anything."""
-    flags.setdefault("out", ".")  # not used; satisfies the manifest builder
-    m = _manifest_from(Path(manifest) if manifest else None, out=flags.pop("out"), **flags)
+    # --out is not used; it satisfies the manifest builder
+    m = _manifest_from(manifest, out=".", **flags)
     m.check(for_run=False)
     weights, prices, panel, spec = _load_inputs(m)
     findings = crosswalk.validate(spec, set(weights.shares), panel.categories)
     if findings:
         for f in findings:
-            click.echo(str(f))
+            print(str(f))
         print(json.dumps({"error": "SpecInvalidError",
                           "findings": [str(f) for f in findings]}), file=sys.stderr)
         raise SystemExit(2)
-    click.echo(
+    print(
         f"ok: {len(weights.shares)} items, {len(panel.categories)} categories, "
         f"{len(panel.months)} panel months, {len(prices)} price series"
     )
 
 
-@cli.command("generate")
-@click.option("--economy", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="Synthetic economy spec (JSON).")
-@click.option("--out", required=True, type=click.Path(), help="Output directory.")
+@_command(
+    "generate",
+    _option("--economy", required=True, type=_input_file,
+            help="Synthetic economy spec (JSON)."),
+    _option("--out", required=True, help="Output directory."),
+)
 def cmd_generate(economy, out) -> None:
     """Generate synthetic weights/prices/expenditures CSV files."""
-    spec = _load(synth.load_economy, Path(economy))
+    from . import synth  # the only command that needs it
+
+    spec = _load(synth.load_economy, economy)
     files = synth.generate(spec)
     outdir = Path(out)
     for name, content in (
@@ -474,15 +482,16 @@ def cmd_generate(economy, out) -> None:
         ("expenditures.csv", files.expenditures_csv),
     ):
         _write_atomic(outdir / name, content)
-        click.echo(f"wrote {outdir / name}")
+        print(f"wrote {outdir / name}")
 
 
-@cli.command("compare")
-@click.argument("results", nargs=-1, required=False,
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--period", required=True, help="Month to compare, e.g. 2020-05.")
-@click.option("--out", type=click.Path(), default=None,
-              help="Write the comparison table as CSV here.")
+@_command(
+    "compare",
+    _option("results", nargs="*", type=_input_file, metavar="RESULT",
+            help="scenario_result.json files, compared in this order."),
+    _option("--period", required=True, help="Month to compare, e.g. 2020-05."),
+    _option("--out", help="Write the comparison table as CSV here."),
+)
 def cmd_compare(results, period, out) -> None:
     """Compare the weighting bias of several scenario_result.json files."""
     month = _parse_month(period)
@@ -495,15 +504,51 @@ def cmd_compare(results, period, out) -> None:
         return result
 
     # read lazily, one result at a time; the first problem in argument order wins
-    loaded = (_load(read, Path(path)) for path in results)
+    loaded = (_load(read, path) for path in results)
     table = analysis.compare_countries(loaded, month)
     rows = analysis.comparison_rows(table)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
-        click.echo("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
     if out:
         _write_atomic(Path(out), _csv_text(rows))
-        click.echo(f"wrote {out}")
+        print(f"wrote {out}")
+
+
+COMMANDS = (cmd_run, cmd_validate, cmd_generate, cmd_compare)
+
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects option prefixes; a usage error prints the usage and raises."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def dispatch(argv: list[str]) -> None:
+    """Parse ``argv`` (no program name) and run its command; errors propagate."""
+    parser = _Parser(prog="basketflex",
+                     description="Inflation under expenditure-adjusted basket weights.")
+    subparsers = parser.add_subparsers(title="commands", required=True)
+    for command in COMMANDS:
+        sub = subparsers.add_parser(command.name, help=command.help, description=command.help)
+        for names, kwargs in command.options:
+            sub.add_argument(*names, **kwargs)
+        if argv and argv[0] == command.name:
+            # intermixed, so that options may come between compare's result paths
+            return command.callback(**vars(sub.parse_intermixed_args(argv[1:])))
+    parser.parse_args(argv)  # no command first: exits after --help, else raises UsageError
+    parser.error("the command must come first")
 
 
 def _emit_error(exc: BaseException, internal: bool = False) -> None:
@@ -520,20 +565,15 @@ def _emit_error(exc: BaseException, internal: bool = False) -> None:
     print(json.dumps(report, sort_keys=True), file=sys.stderr)
 
 
-def main() -> None:
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run ``argv`` (default ``sys.argv[1:]``); on failure report it and exit 2 or 3."""
     level = os.environ.get("BASKETFLEX_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    logging.basicConfig(level=level if level in _LOG_LEVELS else "WARNING")
     try:
-        cli.main(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(2)
-    except click.Abort:
-        sys.exit(2)
-    except SystemExit:
-        raise
+        dispatch(sys.argv[1:] if argv is None else argv)
     except BasketflexError as exc:
         _emit_error(exc)
         sys.exit(2)

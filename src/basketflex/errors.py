@@ -189,6 +189,13 @@ class MonthOutOfRangeError(BasketflexError):
         self.month = month
 
 
+# --- command line --------------------------------------------------------
+
+
+class UsageError(BasketflexError):
+    """The command line does not parse: an unknown option, a missing or bad value."""
+
+
 # --- warnings ------------------------------------------------------------
 
 

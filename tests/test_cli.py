@@ -544,10 +544,29 @@ def test_amount_overflow_exits_2_with_line(example_dir, tmp_path, extra, flags, 
 
 
 def test_importing_the_cli_leaves_pyyaml_unloaded():
-    code = "import sys, basketflex.cli; print('yaml' in sys.modules)"
+    code = ("import sys, basketflex.cli; "
+            "print(sorted({'yaml', 'click', 'basketflex.synth'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_public_names_and_submodules_resolve_on_access():
+    code = """
+import importlib, pkgutil, sys
+import basketflex
+assert [m for m in sys.modules if m.startswith("basketflex.")] == [], sys.modules
+for name in basketflex.__all__:
+    value = getattr(basketflex, name)
+    module = getattr(value, "__module__", "basketflex")
+    assert getattr(importlib.import_module(module), name) is value, name
+for info in pkgutil.iter_modules(basketflex.__path__):
+    assert getattr(basketflex, info.name) is sys.modules["basketflex." + info.name]
+print(len(basketflex.__all__))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 40
 
 
 @pytest.fixture(scope="module")
@@ -587,13 +606,11 @@ def test_written_files_follow_the_umask(example_dir, tmp_path, umask):
     manifest = str(example_dir / "manifest.json")
     old = os.umask(umask)
     try:
-        cli.cli.main(["run", "--manifest", manifest, "--out", str(tmp_path / "run")],
-                     standalone_mode=False)
-        cli.cli.main(["generate", "--economy", str(example_dir / "economy.json"),
-                      "--out", str(tmp_path / "gen")], standalone_mode=False)
-        cli.cli.main(["compare", str(tmp_path / "run" / "scenario_result.json"),
-                      "--period", "2020-05", "--out", str(tmp_path / "compare.csv")],
-                     standalone_mode=False)
+        cli.dispatch(["run", "--manifest", manifest, "--out", str(tmp_path / "run")])
+        cli.dispatch(["generate", "--economy", str(example_dir / "economy.json"),
+                      "--out", str(tmp_path / "gen")])
+        cli.dispatch(["compare", str(tmp_path / "run" / "scenario_result.json"),
+                      "--period", "2020-05", "--out", str(tmp_path / "compare.csv")])
     finally:
         os.umask(old)
     files = [p for p in tmp_path.rglob("*") if p.is_file()]
@@ -605,8 +622,7 @@ def _compare_peak(paths) -> int:
     """tracemalloc peak of one in-process ``compare`` over ``paths``."""
     tracemalloc.start()
     try:
-        cli.cli.main(["compare", *map(str, paths), "--period", "2020-05"],
-                     standalone_mode=False)
+        cli.dispatch(["compare", *map(str, paths), "--period", "2020-05"])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -731,3 +747,93 @@ def test_unconvertible_json_exits_2(tmp_path, command, text):
     else:
         proc = run_cli("compare", str(path), "--period", "2020-05")
     assert "not valid JSON" in _input_error_report(proc, path)["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((), "the following arguments are required"),
+    (("bogus",), "invalid choice: 'bogus'"),
+    (("run", "--manif", "manifest.json"), "unrecognized arguments: --manif"),
+    (("run", "-h"), "unrecognized arguments: -h"),
+    (("run", "--annual-method", "foo"), "invalid choice: 'foo'"),
+    (("run", "--out"), "expected one argument"),
+    (("compare", "result.json"), "required: --period"),
+    (("generate", "--out", "gen"), "required: --economy"),
+])
+def test_usage_errors_exit_2_with_a_report(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert "Usage" in proc.stderr
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "UsageError"
+    assert message in report["message"]
+    assert "internal" not in report
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "generate", "compare"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_missing_or_directory_input_path_exits_2_with_path(tmp_path, command, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    args = {
+        "run": ("run", "--manifest", str(path), "--out", str(tmp_path / "out")),
+        "validate": ("validate", "--manifest", str(path)),
+        "generate": ("generate", "--economy", str(path), "--out", str(tmp_path / "gen")),
+        "compare": ("compare", str(path), "--period", "2020-05"),
+    }[command]
+    proc = run_cli(*args)
+    assert _input_error_report(proc, path)["error"] == "BasketflexError"
+    assert "Usage" not in proc.stderr
+
+
+def test_compare_accepts_options_between_result_paths(example_result_text, tmp_path):
+    paths = []
+    for country in ("first", "second"):
+        doc = json.loads(example_result_text)
+        doc["country"] = country
+        paths.append(tmp_path / f"{country}.json")
+        paths[-1].write_text(json.dumps(doc))
+    proc = run_cli("compare", str(paths[0]), "--period", "2020-05", str(paths[1]),
+                   "--out=" + str(tmp_path / "table.csv"))
+    assert proc.returncode == 0, proc.stderr
+    table = (tmp_path / "table.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in table[1:]] == ["first", "second"]
+
+
+def test_run_accepts_option_equals_value(example_manifest, tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli("run", "--manifest=" + example_manifest, f"--out={out}", "--format=csv")
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in out.iterdir()} == EXPECTED_OUTPUTS - {"scenario_result.json"}
+
+
+@pytest.mark.parametrize("args", [("--help",), ("run", "--help"), ("compare", "--help")])
+def test_help_exits_0(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Usage: basketflex")
+    assert "--help" in proc.stdout
+    if args[0] == "run":
+        assert "--allow-negative-amounts" in proc.stdout
+
+
+def test_command_callbacks_are_looked_up_when_called(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.cmd_compare, "callback", lambda **args: calls.append(args))
+    cli.dispatch(["compare", "--period", "2020-05", "--out=x.csv"])
+    assert calls == [{"results": [], "period": "2020-05", "out": "x.csv"}]
+
+
+@pytest.mark.parametrize("value, verbose", [
+    ("basic_format", False),  # logging.BASIC_FORMAT, a format string, not a level
+    ("notset", False),  # logging.NOTSET, level 0: every message
+    ("raiseexceptions", False),
+    ("", False),
+    ("Info", True),
+    ("DEBUG", True),
+])
+def test_log_env_var_accepts_only_level_names(example_manifest, tmp_path, value, verbose):
+    proc = run_cli("run", "--manifest", example_manifest, "--out", str(tmp_path / "out"),
+                   "--format", "json", env={"BASKETFLEX_LOG": value})
+    assert proc.returncode == 0, proc.stderr
+    assert ("scenario axis" in proc.stderr) == verbose

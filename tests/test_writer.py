@@ -194,10 +194,7 @@ def test_failing_row_generator_leaves_no_file(example_dir, tmp_path, monkeypatch
     (out / "contributions.csv").write_text("previous\n")
     monkeypatch.setattr(analysis, "contribution_rows", _failing_rows)
     with pytest.raises(RuntimeError, match="row generator failed"):
-        cli.cli.main(
-            ["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out)],
-            standalone_mode=False,
-        )
+        cli.dispatch(["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out)])
     names = {p.name for p in out.iterdir()}
     assert not any(name.startswith(".tmp-") for name in names)
     # files before the failing one are complete; the failing one is untouched
@@ -213,10 +210,7 @@ def test_failing_json_writer_leaves_no_file(example_dir, tmp_path, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setattr(cli, "_json_chunks", failing_chunks)
     with pytest.raises(RuntimeError, match="encoder failed"):
-        cli.cli.main(
-            ["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out)],
-            standalone_mode=False,
-        )
+        cli.dispatch(["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out)])
     assert list(out.iterdir()) == []
 
 
