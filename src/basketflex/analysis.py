@@ -18,7 +18,6 @@ import csv
 import datetime as dt
 import io
 import logging
-import reprlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -39,6 +38,10 @@ from .core import (
     weighting_bias,
 )
 from .errors import (
+    BOOL,
+    NUMBER,
+    STRING,
+    STRINGS,
     ConfigError,
     FixedMonthOutOfRangeError,
     MissingPriceRelativeError,
@@ -46,6 +49,8 @@ from .errors import (
     PeriodNotCoveredError,
     ResultFieldError,
     SpecInvalidError,
+    check_shape,
+    parses,
 )
 from .periods import Month, month_range
 
@@ -348,48 +353,33 @@ def result_to_dict(result: ScenarioResult) -> dict:
     }
 
 
-def _parses(parse):
-    """A predicate: does ``parse`` accept the value?"""
-
-    def ok(value) -> bool:
-        try:
-            parse(value)
-        except (AttributeError, TypeError, ValueError):
-            return False
-        return True
-
-    return ok
-
-
-# JSON shape of a result document. A dict is an object whose keys ending in
-# "?" may be absent, a one-element list is a list of that shape, and a pair
-# is (description, predicate) for a single value.
-_STRING = ("a string", lambda v: isinstance(v, str))
-_NUMBER = ("a number", lambda v: type(v) in (int, float))
+# JSON shape of a result document, in the form ``errors.check_shape`` reads.
 _NUMBER_OR_NULL = ("a number or null", lambda v: v is None or type(v) in (int, float))
 _NUMBERS = (
     "an object of numbers",
     lambda v: isinstance(v, dict) and {*map(type, v.values())} <= {int, float},
 )
-_MONTH = ("a month as YYYY-MM", _parses(Month.parse))
-_IS_DATE = _parses(dt.date.fromisoformat)
+_MONTH = ("a month as YYYY-MM", parses(Month.parse))
+_IS_DATE = parses(dt.date.fromisoformat)
 _DATE_PAIR = (
     "a [start, end] pair of dates",
     lambda v: isinstance(v, list) and len(v) == 2 and all(map(_IS_DATE, v)),
 )
-_POINT = {"period": _MONTH, "monthly_pct": _NUMBER, "contributions?": _NUMBERS,
+_POINT = {"period": _MONTH, "monthly_pct": NUMBER, "contributions?": _NUMBERS,
           "annual_pct?": _NUMBER_OR_NULL}
-_BIAS = {"period": _MONTH, "monthly_pp": _NUMBER, "annual_pp?": _NUMBER_OR_NULL}
-_VECTOR = {"period": _MONTH, "shares": _NUMBERS, "raw_sum?": _NUMBER}
+_BIAS = {"period": _MONTH, "monthly_pp": NUMBER, "annual_pp?": _NUMBER_OR_NULL}
+_VECTOR = {"period": _MONTH, "shares": _NUMBERS, "raw_sum?": NUMBER}
 _RESULT_SHAPE = {
-    "country?": _STRING,
+    # first, so that a document of another schema is named as such
+    "schema": (repr(RESULT_SCHEMA), lambda v: v == RESULT_SCHEMA),
+    "country?": STRING,
     "config": {
         "base_months": [_MONTH],
-        "core_exclusions?": [_STRING],
+        "core_exclusions?": STRINGS,
         "fixed_weight_month?": ("a month or null", lambda v: v is None or _MONTH[1](v)),
         "lockdown_windows?": [_DATE_PAIR],
-        "annual_method?": _STRING,
-        "per_day_base?": ("true or false", lambda v: isinstance(v, bool)),
+        "annual_method?": STRING,
+        "per_day_base?": BOOL,
     },
     "periods": [_MONTH],
     "weights": {"official": [_VECTOR], "adjusted": [_VECTOR]},
@@ -399,38 +389,14 @@ _RESULT_SHAPE = {
 }
 
 
-def _check_shape(value, shape, field: str = "") -> None:
-    """Raise ResultFieldError naming the first part of ``value`` not of ``shape``."""
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            raise ResultFieldError(field, f"must be an object, got {reprlib.repr(value)}")
-        for key, sub in shape.items():
-            name = key.rstrip("?")
-            where = f"{field}.{name}" if field else name
-            if name in value:
-                _check_shape(value[name], sub, where)
-            elif name == key:
-                raise ResultFieldError(where, "is missing")
-    elif isinstance(shape, list):
-        if not isinstance(value, list):
-            raise ResultFieldError(field, f"must be a list, got {reprlib.repr(value)}")
-        for k, item in enumerate(value):
-            _check_shape(item, shape[0], f"{field}[{k}]")
-    elif not shape[1](value):
-        raise ResultFieldError(field, f"must be {shape[0]}, got {reprlib.repr(value)}")
-
-
 def result_from_dict(doc: Mapping) -> ScenarioResult:
     """Rebuild a scenario result from its JSON form.
 
-    A field missing or of the wrong JSON type raises ``ResultFieldError``
-    naming it, e.g. ``weights.official[0].shares``.
+    A document of another ``schema``, or with a field missing or of the
+    wrong JSON type, raises ``ResultFieldError`` naming the field, e.g.
+    ``weights.official[0].shares``.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    if doc.get("schema") != RESULT_SCHEMA:
-        raise ValueError(f"schema is {doc.get('schema')!r}, expected {RESULT_SCHEMA!r}")
-    _check_shape(doc, _RESULT_SHAPE)
+    check_shape(doc, _RESULT_SHAPE, ResultFieldError)
     cfg_doc = doc["config"]
     config = ScenarioConfig(
         base_months=tuple(Month.parse(m) for m in cfg_doc["base_months"]),

@@ -24,12 +24,14 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 from . import analysis, crosswalk, ingest
 from .analysis import ScenarioConfig
-from .errors import BasketflexError, ConfigError, UsageError
+from .errors import BOOL, STRING, STRINGS, BasketflexError, ConfigError, UsageError, check_shape
 from .periods import Month
 
 log = logging.getLogger("basketflex")
@@ -131,10 +133,6 @@ def _parse_month(text: str) -> Month:
         raise BasketflexError(str(exc))
 
 
-def _parse_months(text: str) -> tuple[Month, ...]:
-    return tuple(_parse_month(part) for part in text.split(",") if part.strip())
-
-
 def _parse_date(text: str) -> dt.date:
     try:
         return dt.date.fromisoformat(str(text).strip())
@@ -156,32 +154,28 @@ def _parse_lockdowns(value) -> tuple[tuple[dt.date, dt.date], ...]:
     return tuple(windows)
 
 
+_INPUTS = ("weights", "prices", "expenditures", "crosswalk")
+
+
 @dataclass
 class RunManifest:
-    """Resolved inputs for one scenario run.
+    """Resolved inputs for one scenario run, as ``_manifest_from`` builds them.
 
-    Built from a manifest JSON file, command-line flags, or both; flags win.
-    Relative paths inside a manifest resolve against the manifest's
-    directory.
+    ``config`` builds the scenario configuration when called, so that
+    ``check`` reports missing input files before a ``ConfigError``.
     """
 
-    weights: Path
-    prices: Path
-    expenditures: Path
-    crosswalk: Path
+    weights: Path | None
+    prices: Path | None
+    expenditures: Path | None
+    crosswalk: Path | None
     out: Path
-    base_months: tuple[Month, ...]
-    core_exclude: frozenset[str] = frozenset()
-    fixed_weight_month: Month | None = None
-    lockdowns: tuple[tuple[dt.date, dt.date], ...] = ()
-    country_label: str = ""
-    annual_method: str = "chained"
-    per_day_base: bool = False
+    config: Callable[[], ScenarioConfig]
     allow_negative_amounts: bool = False
     formats: tuple[str, ...] = ("csv", "json")
 
     def check(self, for_run: bool = True) -> None:
-        for name in ("weights", "prices", "expenditures", "crosswalk"):
+        for name in _INPUTS:
             p = getattr(self, name)
             if p is None:
                 raise BasketflexError(f"no {name} file given (flag or manifest)")
@@ -203,35 +197,18 @@ class RunManifest:
         except OSError as exc:
             raise BasketflexError(f"output directory not writable: {self.out} ({exc})")
 
-    def config(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            base_months=self.base_months,
-            core_exclusions=self.core_exclude,
-            fixed_weight_month=self.fixed_weight_month,
-            lockdown_windows=self.lockdowns,
-            country_label=self.country_label,
-            annual_method=self.annual_method,
-            per_day_base=self.per_day_base,
-        )
 
-
-# Expected JSON shape of each manifest field; null counts as absent.
-_MANIFEST_SHAPES = {
+# JSON shape of a manifest, in the form ``errors.check_shape`` reads; null
+# counts as absent.
+_MANIFEST_SHAPE = {
     **dict.fromkeys(
-        ("weights", "prices", "expenditures", "crosswalk", "out",
-         "fixed_weight_month", "country_label", "annual_method"),
-        ("a string", lambda v: isinstance(v, str)),
+        ("weights?", "prices?", "expenditures?", "crosswalk?", "out?",
+         "fixed_weight_month?", "country_label?", "annual_method?"),
+        STRING,
     ),
-    **dict.fromkeys(
-        ("base_months", "core_exclude", "formats"),
-        ("a list of strings",
-         lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
-    ),
-    **dict.fromkeys(
-        ("per_day_base", "allow_negative_amounts"),
-        ("true or false", lambda v: isinstance(v, bool)),
-    ),
-    "lockdowns": (
+    **dict.fromkeys(("base_months?", "core_exclude?", "formats?"), STRINGS),
+    **dict.fromkeys(("per_day_base?", "allow_negative_amounts?"), BOOL),
+    "lockdowns?": (
         "a list of [start, end] date pairs",
         lambda v: isinstance(v, str) or (isinstance(v, list) and all(
             isinstance(w, list) and len(w) == 2 and all(isinstance(d, str) for d in w)
@@ -241,34 +218,25 @@ _MANIFEST_SHAPES = {
 }
 
 
-def _check_manifest_shape(doc) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"manifest must be a JSON object, not {type(doc).__name__}")
-    for key, (expected, ok) in _MANIFEST_SHAPES.items():
-        if doc.get(key) is not None and not ok(doc[key]):
-            exc = ConfigError(f"manifest field {key!r} must be {expected}, got {doc[key]!r}")
-            exc.field = key
-            raise exc
+def _read_json(path: Path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # decode errors, unconvertible numbers
+            raise BasketflexError(f"{path}: not valid JSON: {exc}")
 
 
 def _read_manifest(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # decode errors, unconvertible numbers
-            raise BasketflexError(f"manifest is not valid JSON: {exc}")
-    _check_manifest_shape(doc)
-    return {k: v for k, v in doc.items() if v is not None}
+    doc = _read_json(path)
+    if isinstance(doc, dict):
+        doc = {k: v for k, v in doc.items() if v is not None}
+    check_shape(doc, _MANIFEST_SHAPE, ConfigError)
+    return doc
 
 
 def _read_result(path: Path) -> analysis.ScenarioResult:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # decode errors, unconvertible numbers
-            raise BasketflexError(f"{path}: not valid JSON: {exc}")
     try:
-        return analysis.result_from_dict(doc)
+        return analysis.result_from_dict(_read_json(path))
     except (KeyError, TypeError, ValueError) as exc:
         err = BasketflexError(f"{path}: not a scenario result file ({exc})")
         err.field = getattr(exc, "field", None)
@@ -276,69 +244,51 @@ def _read_result(path: Path) -> analysis.ScenarioResult:
 
 
 def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
+    """Read the manifest file, if any, with the flags folded in as manifest values.
+
+    An explicit flag wins even when empty. Comma-separated flags become
+    lists and ``--country`` is ``country_label``. In the file, relative paths
+    resolve against its directory, an empty ``out`` is that directory, an
+    empty input path gives no file and an empty ``fixed_weight_month``
+    freezes nothing.
+    """
     doc: dict = {}
-    root = Path.cwd()
     if manifest_path is not None:
         doc = _load(_read_manifest, manifest_path)
-        root = Path(manifest_path).resolve().parent
-
-    def path_of(key):
-        if flags.get(key) is not None:
-            return Path(flags[key])
-        if doc.get(key):
-            return root / doc[key]
-        return None
-
-    def flag_or(key, doc_key, default=None):
-        # an explicit flag wins even when empty; an empty manifest value keeps its meaning
-        return flags[key] if flags.get(key) is not None else doc.get(doc_key, default)
-
-    months = flags.get("base_months")
-    if months is not None:
-        base_months = _parse_months(months)
-    else:
-        base_months = tuple(_parse_month(m) for m in doc.get("base_months", ()))
-
-    core = flags.get("core_exclude")
-    if core is not None:
-        core_exclude = frozenset(s.strip() for s in core.split(",") if s.strip())
-    else:
-        core_exclude = frozenset(doc.get("core_exclude", ()))
-
-    fixed = flags.get("fixed_weight_month")
-    if fixed is None:
-        fixed = doc.get("fixed_weight_month") or None  # empty in a manifest: no freezing
-    lockdowns = _parse_lockdowns(flag_or("lockdowns", "lockdowns"))
-
-    fmt = flags.get("formats")
-    if fmt is not None:
-        formats = tuple(s.strip() for s in fmt.split(",") if s.strip())
-    else:
-        formats = tuple(doc.get("formats", ("csv", "json")))
-
-    out = flags.get("out")
-    if out == "":
+        root = manifest_path.resolve().parent
+        for key in _INPUTS:
+            if doc.get(key):
+                doc[key] = root / doc[key]
+        if "out" in doc:
+            doc["out"] = root / doc["out"]
+        if doc.get("fixed_weight_month") == "":
+            del doc["fixed_weight_month"]
+    for key, value in flags.items():
+        if value is None or value is False:
+            continue
+        if key in ("base_months", "core_exclude", "formats"):
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        doc["country_label" if key == "country" else key] = value
+    if doc.get("out") == "":
         raise BasketflexError("--out is empty")
-    if out is None and doc.get("out") is None:
+    if "out" not in doc:
         raise BasketflexError("no output directory given (flag or manifest)")
-
+    fixed = doc.get("fixed_weight_month")
     return RunManifest(
-        weights=path_of("weights"),
-        prices=path_of("prices"),
-        expenditures=path_of("expenditures"),
-        crosswalk=path_of("crosswalk"),
-        out=Path(out) if out is not None else root / doc["out"],
-        base_months=base_months,
-        core_exclude=core_exclude,
-        fixed_weight_month=_parse_month(fixed) if fixed is not None else None,
-        lockdowns=lockdowns,
-        country_label=flag_or("country", "country_label", ""),
-        annual_method=flag_or("annual_method", "annual_method", "chained"),
-        per_day_base=bool(flags.get("per_day_base") or doc.get("per_day_base", False)),
-        allow_negative_amounts=bool(
-            flags.get("allow_negative_amounts") or doc.get("allow_negative_amounts", False)
+        **{key: Path(doc[key]) if doc.get(key) else None for key in _INPUTS},
+        out=Path(doc["out"]),
+        config=partial(
+            ScenarioConfig,
+            base_months=tuple(map(_parse_month, doc.get("base_months", ()))),
+            core_exclusions=frozenset(doc.get("core_exclude", ())),
+            fixed_weight_month=None if fixed is None else _parse_month(fixed),
+            lockdown_windows=_parse_lockdowns(doc.get("lockdowns", ())),
+            country_label=doc.get("country_label", ""),
+            annual_method=doc.get("annual_method", "chained"),
+            per_day_base=doc.get("per_day_base", False),
         ),
-        formats=formats,
+        allow_negative_amounts=doc.get("allow_negative_amounts", False),
+        formats=tuple(doc.get("formats", ("csv", "json"))),
     )
 
 
@@ -487,7 +437,7 @@ def cmd_generate(economy, out) -> None:
 
 @_command(
     "compare",
-    _option("results", nargs="*", type=_input_file, metavar="RESULT",
+    _option("results", nargs="+", type=_input_file, metavar="RESULT",
             help="scenario_result.json files, compared in this order."),
     _option("--period", required=True, help="Month to compare, e.g. 2020-05."),
     _option("--out", help="Write the comparison table as CSV here."),

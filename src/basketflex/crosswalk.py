@@ -439,36 +439,3 @@ def load_spec(path) -> CrosswalkSpec:
         except UnicodeDecodeError as exc:
             raise SpecInvalidError([Finding(BAD_RULE, "file", f"not valid UTF-8: {exc}")])
     return parse_spec(text)
-
-
-def dump_spec(spec: CrosswalkSpec) -> str:
-    """Serialize a spec back to its YAML configuration form."""
-    doc: dict = {"version": spec.version}
-    if spec.notes:
-        doc["notes"] = spec.notes
-    rules = []
-    for r in spec.rules:
-        entry: dict = {"target": r.target, "kind": r.kind}
-        if r.kind == "direct" and r.sources:
-            entry["source"] = r.sources[0]
-        elif r.sources:
-            entry["sources"] = list(r.sources)
-        if r.peer is not None:
-            entry["peer"] = r.peer
-        if r.notes:
-            entry["notes"] = r.notes
-        rules.append(entry)
-    doc["rules"] = rules
-    if spec.reassignments:
-        doc["reassignments"] = [
-            {
-                "source": m.source,
-                "from": m.from_item,
-                "to": m.to_item,
-                **({"notes": m.notes} if m.notes else {}),
-            }
-            for m in spec.reassignments
-        ]
-    import yaml
-
-    return yaml.safe_dump(doc, sort_keys=False)

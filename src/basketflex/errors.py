@@ -1,6 +1,8 @@
-"""Exception and warning types raised across the package."""
+"""Exception and warning types raised across the package, and the JSON shape checker."""
 
 from __future__ import annotations
+
+import reprlib
 
 
 class BasketflexError(Exception):
@@ -40,7 +42,7 @@ class ItemSetMismatchError(BasketflexError):
 class NonPositiveRelativeError(BasketflexError):
     def __init__(self, item: str, value: float):
         super().__init__(
-            f"expenditure relative for item {item!r} must be > 0, got {value}"
+            f"expenditure relative for item {item!r} must be a finite number > 0, got {value}"
         )
         self.item = item
         self.value = value
@@ -130,10 +132,14 @@ class SchemaError(BasketflexError):
 
 
 class NonPositivePriceError(BasketflexError):
-    def __init__(self, item: str, period):
-        super().__init__(f"price relative for item {item!r} at {period} must be > 0")
+    def __init__(self, item: str, period, line: int | None = None):
+        where = "" if line is None else f"line {line}: "
+        super().__init__(
+            f"{where}price relative for item {item!r} at {period} must be a finite number > 0"
+        )
         self.item = item
         self.period = period
+        self.line = line
 
 
 class WeightSumOutOfRangeError(BasketflexError):
@@ -162,10 +168,6 @@ class FixedMonthOutOfRangeError(BasketflexError):
 class ResultFieldError(BasketflexError, ValueError):
     """A field of a scenario result document is missing or of the wrong type."""
 
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"field {field} {reason}")
-        self.field = field
-
 
 class PeriodNotCoveredError(BasketflexError):
     def __init__(self, country: str, period):
@@ -178,9 +180,7 @@ class PeriodNotCoveredError(BasketflexError):
 
 
 class InvalidEconomySpecError(BasketflexError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """A synthetic economy description is malformed or out of bounds."""
 
 
 class MonthOutOfRangeError(BasketflexError):
@@ -194,6 +194,63 @@ class MonthOutOfRangeError(BasketflexError):
 
 class UsageError(BasketflexError):
     """The command line does not parse: an unknown option, a missing or bad value."""
+
+
+# --- JSON document shapes -------------------------------------------------
+#
+# A shape is a dict (a JSON object whose keys ending in "?" may be absent), a
+# one-element list (a JSON list of values of that shape) or a
+# (description, predicate) pair for a single value.
+
+
+def parses(parse):
+    """A predicate: does ``parse`` accept the value?"""
+
+    def ok(value) -> bool:
+        try:
+            parse(value)
+        except (AttributeError, TypeError, ValueError, ArithmeticError):
+            return False
+        return True
+
+    return ok
+
+
+STRING = ("a string", lambda v: isinstance(v, str))
+STRINGS = [STRING]
+NUMBER = ("a number", lambda v: type(v) in (int, float))
+BOOL = ("true or false", lambda v: isinstance(v, bool))
+
+
+def check_shape(value, shape, error: type, field: str = "") -> None:
+    """Raise ``error`` naming the first part of ``value`` not of ``shape``.
+
+    The error's ``field`` is the path to that part, e.g. ``items[0].id``, or
+    None when the document itself is not of its shape.
+    """
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise _shape_error(error, field, f"must be an object, got {reprlib.repr(value)}")
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            where = f"{field}.{name}" if field else name
+            if name in value:
+                check_shape(value[name], sub, error, where)
+            elif name == key:
+                raise _shape_error(error, where, "is missing")
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise _shape_error(error, field, f"must be a list, got {reprlib.repr(value)}")
+        for k, item in enumerate(value):
+            check_shape(item, shape[0], error, f"{field}[{k}]")
+    elif not shape[1](value):
+        raise _shape_error(error, field, f"must be {shape[0]}, got {reprlib.repr(value)}")
+
+
+def _shape_error(error: type, field: str, reason: str) -> BasketflexError:
+    exc = error(f"field {field!r} {reason}" if field else f"the document {reason}")
+    exc.field = field or None
+    return exc
 
 
 # --- warnings ------------------------------------------------------------

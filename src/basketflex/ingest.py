@@ -441,8 +441,8 @@ def load_prices(path) -> dict[ItemId, PriceRelativeSeries]:
                 rel = float(raw_rel)
             except ValueError:
                 raise SchemaError("relative", line, f"bad relative {raw_rel!r}")
-            if rel <= 0:
-                raise NonPositivePriceError(item, period)
+            if not 0 < rel < math.inf:  # also nan
+                raise NonPositivePriceError(item, period, line)
             series = by_item.setdefault(item, {})
             if period in series:
                 raise SchemaError("period", line, f"duplicate period {period} for {item!r}")

@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, localcontext
 from typing import Mapping
 
 from .core import WeightVector, normalize_weights
-from .errors import InvalidEconomySpecError, MonthOutOfRangeError
+from .errors import STRING, InvalidEconomySpecError, MonthOutOfRangeError, check_shape, parses
 from .periods import Month, month_range
 
 _PREC = 50
@@ -103,7 +103,9 @@ class SyntheticEconomySpec:
         for name in ("months", "base_months", "seed", "max_records_per_month"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidEconomySpecError(f"{name} must be an integer, got {value!r}")
+                exc = InvalidEconomySpecError(f"{name} must be an integer, got {value!r}")
+                exc.field = name
+                raise exc
         if not 2 <= self.months <= MAX_MONTHS:
             raise InvalidEconomySpecError(f"months must lie in 2..{MAX_MONTHS}, got {self.months}")
         if self.start.year < 1 or self.start.index + self.months > _END_INDEX:
@@ -323,73 +325,84 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
 # }
 #
 # Numeric values are strings so they stay exact decimals; `months`,
-# `base_months`, `seed` and `max_records_per_month` are JSON integers.
+# `base_months`, `seed` and `max_records_per_month` are JSON integers. The
+# shape table below checks everything but those four, which
+# `SyntheticEconomySpec.validate` checks, as it also guards specs built in Python.
 
 
-def _dec(value, what: str) -> Decimal:
-    try:
-        return Decimal(str(value))
-    except InvalidOperation:
-        raise InvalidEconomySpecError(f"bad decimal for {what}: {value!r}")
+def _decimal(value) -> Decimal:
+    """A finite decimal from a JSON string or number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(value)
+    d = Decimal(str(value))
+    if not d.is_finite():
+        raise ValueError(value)
+    return d
+
+
+_DECIMAL = ("a decimal string or number", parses(_decimal))
+_DECIMALS = (
+    "an object of decimal strings or numbers",
+    lambda v: isinstance(v, dict) and all(map(_DECIMAL[1], v.values())),
+)
+_MONTH = ("a month as YYYY-MM", parses(Month.parse))
+_ECONOMY_SHAPE = {
+    "items": [{"id": STRING, "label?": STRING, "base_price?": _DECIMAL,
+               "base_quantity?": _DECIMAL, "categories?": _DECIMALS}],
+    "months": ("an integer", lambda v: True),  # as the other three, checked by validate
+    "start?": _MONTH,
+    "base_drifts?": _DECIMALS,
+    "shock_windows?": [{"start": _MONTH, "end": _MONTH,
+                        "quantity_multipliers?": _DECIMALS, "price_drifts?": _DECIMALS}],
+}
+
+
+def _decimals(mapping: Mapping) -> dict[str, Decimal]:
+    return {key: _decimal(value) for key, value in mapping.items()}
 
 
 def parse_economy(text: str) -> SyntheticEconomySpec:
-    """Parse the JSON description of a synthetic economy."""
+    """Parse the JSON description of a synthetic economy.
+
+    A value of the wrong JSON type raises ``InvalidEconomySpecError`` naming
+    it in ``field``, e.g. ``items[0].id``.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also integers too long to convert
         raise InvalidEconomySpecError(f"not valid JSON: {exc}")
-    if not isinstance(doc, dict) or "items" not in doc or "months" not in doc:
-        raise InvalidEconomySpecError("economy needs at least `items` and `months`")
-    try:
-        items = []
-        for entry in doc["items"]:
-            cats = None
-            if "categories" in entry:
-                cats = tuple(
-                    (str(c), _dec(s, f"category share {c}"))
-                    for c, s in entry["categories"].items()
-                )
-            items.append(
-                SyntheticItem(
-                    id=str(entry["id"]),
-                    base_price=_dec(entry.get("base_price", "1"), "base_price"),
-                    base_quantity=_dec(entry.get("base_quantity", "1"), "base_quantity"),
-                    label=str(entry.get("label", "")),
-                    categories=cats,
-                )
-            )
-        windows = []
-        for w in doc.get("shock_windows", []):
-            windows.append(
-                ShockWindow(
-                    start=Month.parse(w["start"]),
-                    end=Month.parse(w["end"]),
-                    quantity_multipliers={
-                        str(i): _dec(v, f"multiplier {i}")
-                        for i, v in w.get("quantity_multipliers", {}).items()
-                    },
-                    price_drifts={
-                        str(i): _dec(v, f"drift {i}")
-                        for i, v in w.get("price_drifts", {}).items()
-                    },
-                )
-            )
-        spec = SyntheticEconomySpec(
-            items=tuple(items),
-            months=doc["months"],
-            start=Month.parse(doc.get("start", "2020-01")),
-            base_months=doc.get("base_months", 2),
-            shock_windows=tuple(windows),
-            base_drifts={
-                str(i): _dec(v, f"base drift {i}")
-                for i, v in doc.get("base_drifts", {}).items()
-            },
-            seed=doc.get("seed", 0),
-            max_records_per_month=doc.get("max_records_per_month", 5),
+    check_shape(doc, _ECONOMY_SHAPE, InvalidEconomySpecError)
+    items = tuple(
+        SyntheticItem(
+            id=entry["id"],
+            base_price=_decimal(entry.get("base_price", "1")),
+            base_quantity=_decimal(entry.get("base_quantity", "1")),
+            label=entry.get("label", ""),
+            categories=(
+                tuple(_decimals(entry["categories"]).items()) if "categories" in entry else None
+            ),
         )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise InvalidEconomySpecError(f"malformed economy description: {exc}")
+        for entry in doc["items"]
+    )
+    windows = tuple(
+        ShockWindow(
+            start=Month.parse(w["start"]),
+            end=Month.parse(w["end"]),
+            quantity_multipliers=_decimals(w.get("quantity_multipliers", {})),
+            price_drifts=_decimals(w.get("price_drifts", {})),
+        )
+        for w in doc.get("shock_windows", ())
+    )
+    spec = SyntheticEconomySpec(
+        items=items,
+        months=doc["months"],
+        start=Month.parse(doc.get("start", "2020-01")),
+        base_months=doc.get("base_months", 2),
+        shock_windows=windows,
+        base_drifts=_decimals(doc.get("base_drifts", {})),
+        seed=doc.get("seed", 0),
+        max_records_per_month=doc.get("max_records_per_month", 5),
+    )
     spec.validate()
     return spec
 

@@ -1,14 +1,21 @@
+import contextlib
+import functools
 import hashlib
 import json
+import operator
 import os
 import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketflex import cli
+from basketflex.errors import BasketflexError, ConfigError
 
 from conftest import run_cli
 
@@ -717,6 +724,47 @@ def test_run_empty_flag_exits_2_instead_of_using_the_manifest(example_dir, tmp_p
     assert not (tmp_path / "out" / "scenario_result.json").exists()
 
 
+def _manifest_file(example_dir, tmp_path, **changes) -> str:
+    """The bundled manifest with absolute input paths and ``changes``, in ``tmp_path``."""
+    manifest = json.loads((example_dir / "manifest.json").read_text())
+    for key in ("weights", "prices", "expenditures", "crosswalk"):
+        manifest[key] = str(example_dir / manifest[key])
+    manifest.update(changes)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    return str(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("changes, flags, key, value", [
+    ({"fixed_weight_month": ""}, (), "fixed_weight_month", None),
+    ({"lockdowns": ""}, (), "lockdown_windows", []),
+    ({"core_exclude": []}, (), "core_exclusions", []),
+    ({"country_label": ""}, (), "country", ""),
+    ({}, ("--country", ""), "country", ""),
+    ({}, ("--lockdowns", ""), "lockdown_windows", []),
+    ({}, ("--core-exclude", ""), "core_exclusions", []),
+])
+def test_empty_values_keep_their_meaning(example_dir, tmp_path, changes, flags, key, value):
+    # `"out": ""` is the manifest's directory in every case
+    manifest = _manifest_file(example_dir, tmp_path, out="", **changes)
+    cli.dispatch(["run", "--manifest", manifest, "--format", "json", *flags])
+    doc = json.loads((tmp_path / "scenario_result.json").read_text())
+    assert {**doc, **doc["config"]}[key] == value
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"annual_method": ""}, ConfigError, "annual_method must be one of"),
+    ({"base_months": []}, ConfigError, "at least one base month"),
+    ({"weights": ""}, BasketflexError, "no weights file given"),
+    ({"crosswalk": ""}, BasketflexError, "no crosswalk file given"),
+    ({"formats": []}, BasketflexError, "no output formats selected"),
+])
+def test_empty_manifest_values_that_are_errors(example_dir, tmp_path, changes, error, message):
+    manifest = _manifest_file(example_dir, tmp_path, out="out", **changes)
+    with pytest.raises(error, match=message):
+        cli.dispatch(["run", "--manifest", manifest])
+    assert not (tmp_path / "out" / "scenario_result.json").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_records_per_month", 0),
     ("months", 10**9),
@@ -731,6 +779,31 @@ def test_generate_refuses_unbounded_economies(example_dir, tmp_path, field, valu
     report = _input_error_report(proc, economy)
     assert report["error"] == "InvalidEconomySpecError"
     assert field in report["message"]
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("field, mangle", [
+    ("items", lambda d: d.update(items={"food": {}})),
+    ("items[0]", lambda d: d["items"].__setitem__(0, "food")),
+    ("items[0].id", lambda d: d["items"][0].update(id=None)),
+    ("items[0].categories", lambda d: d["items"][0].update(categories=[["food-stores", "1"]])),
+    ("start", lambda d: d.update(start=202001)),
+    ("shock_windows[0].end", lambda d: d["shock_windows"][0].pop("end")),
+    ("base_drifts", lambda d: d.update(base_drifts=["1.001"])),
+    ("items[0].base_price", lambda d: d["items"][0].update(base_price="NaN")),
+    ("shock_windows[1].price_drifts", lambda d: d["shock_windows"][1].update(
+        price_drifts={"food": "Infinity"})),
+])
+def test_generate_names_the_bad_economy_field(example_dir, tmp_path, field, mangle):
+    doc = json.loads((example_dir / "economy.json").read_text())
+    mangle(doc)
+    economy = tmp_path / "economy.json"
+    economy.write_text(json.dumps(doc))
+    proc = run_cli("generate", "--economy", str(economy), "--out", str(tmp_path / "gen"))
+    report = _input_error_report(proc, economy)
+    assert report["error"] == "InvalidEconomySpecError"
+    assert report["field"] == field
+    assert repr(field) in report["message"]
     assert not (tmp_path / "gen").exists()
 
 
@@ -758,6 +831,7 @@ def test_unconvertible_json_exits_2(tmp_path, command, text):
     (("run", "--out"), "expected one argument"),
     (("compare", "result.json"), "required: --period"),
     (("generate", "--out", "gen"), "required: --economy"),
+    (("compare", "--period", "2020-05"), "required: RESULT"),
 ])
 def test_usage_errors_exit_2_with_a_report(args, message):
     proc = run_cli(*args)
@@ -817,11 +891,11 @@ def test_help_exits_0(args):
         assert "--allow-negative-amounts" in proc.stdout
 
 
-def test_command_callbacks_are_looked_up_when_called(monkeypatch):
+def test_command_callbacks_are_looked_up_when_called(monkeypatch, example_manifest):
     calls = []
     monkeypatch.setattr(cli.cmd_compare, "callback", lambda **args: calls.append(args))
-    cli.dispatch(["compare", "--period", "2020-05", "--out=x.csv"])
-    assert calls == [{"results": [], "period": "2020-05", "out": "x.csv"}]
+    cli.dispatch(["compare", example_manifest, "--period", "2020-05", "--out=x.csv"])
+    assert calls == [{"results": [Path(example_manifest)], "period": "2020-05", "out": "x.csv"}]
 
 
 @pytest.mark.parametrize("value, verbose", [
@@ -837,3 +911,66 @@ def test_log_env_var_accepts_only_level_names(example_manifest, tmp_path, value,
                    "--format", "json", env={"BASKETFLEX_LOG": value})
     assert proc.returncode == 0, proc.stderr
     assert ("scenario axis" in proc.stderr) == verbose
+
+
+# Keys and values of the three documents' shapes, so that drawn documents often
+# get past their first checks.
+_KEYS = st.sampled_from([
+    "items", "id", "label", "base_price", "base_quantity", "categories", "months", "start",
+    "end", "base_months", "seed", "max_records_per_month", "base_drifts", "shock_windows",
+    "quantity_multipliers", "price_drifts", "schema", "country", "config", "periods",
+    "weights", "official", "adjusted", "series", "core_official", "core_adjusted", "bias",
+    "core_bias", "period", "shares", "monthly_pct", "monthly_pp", "annual_pct", "annual_pp",
+    "contributions", "raw_sum", "core_exclusions", "lockdown_windows", "fixed_weight_month",
+    "annual_method", "per_day_base", "prices", "expenditures", "crosswalk", "out",
+    "core_exclude", "lockdowns", "country_label", "formats", "allow_negative_amounts",
+]) | st.text(max_size=3)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats(-1e3, 1e3)
+    | st.sampled_from(["", "1", "0.5", "-1", "NaN", "1e999", "2020-01", "2020-03-01",
+                       "2020-03-01:2020-05-31", "2020-13", "chained", "csv",
+                       "basketflex.scenario_result/1"])
+    | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(_KEYS, values, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(doc, path=()):
+    """Every path of keys and indices into ``doc``, the empty one first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, (*path, key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_misshapen_documents_raise_only_input_errors(example_dir, example_result_text,
+                                                      tmp_path_factory, data):
+    """Small arbitrary JSON, alone or in place of one value of a bundled document."""
+    from basketflex import analysis, synth
+
+    def draw(text: str):
+        if data.draw(st.booleans()):
+            return data.draw(st.dictionaries(_KEYS, _JSON, max_size=6) | _JSON)
+        doc = json.loads(text)
+        *path, key = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = functools.reduce(operator.getitem, path, doc)
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JSON)
+        return doc
+
+    with contextlib.suppress(BasketflexError):
+        synth.parse_economy(json.dumps(draw((example_dir / "economy.json").read_text())))
+    with contextlib.suppress(BasketflexError, ValueError):  # _read_result maps ValueError
+        analysis.result_from_dict(draw(example_result_text))
+    manifest = tmp_path_factory.getbasetemp() / "fuzzed-manifest.json"
+    manifest.write_text(json.dumps(draw((example_dir / "manifest.json").read_text())))
+    with contextlib.suppress(BasketflexError):
+        cli._manifest_from(manifest).config()

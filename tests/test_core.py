@@ -140,6 +140,9 @@ def test_relative_vector_rejects_nonpositive():
         rel_vec({"A": 1.0, "B": 0.0})
     with pytest.raises(NonPositiveRelativeError):
         rel_vec({"A": -0.5})
+    for value in (math.inf, math.nan):
+        with pytest.raises(NonPositiveRelativeError, match="must be a finite number > 0"):
+            rel_vec({"A": value})
 
 
 # --- monthly_inflation ------------------------------------------------------

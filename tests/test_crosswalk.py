@@ -254,22 +254,6 @@ def test_apply_zero_month_spend_is_rejected_not_zero_weighted():
 # --- configuration file form --------------------------------------------------
 
 
-def test_yaml_round_trip():
-    spec = cw.CrosswalkSpec(
-        rules=(
-            cw.Rule(target="food", kind="aggregate", sources=("a", "b"), notes="n"),
-            cw.Rule(target="fv", kind="follow_peer", peer="food"),
-            cw.Rule(target="rent", kind="constant"),
-            cw.Rule(target="other", kind="follow_total"),
-            cw.Rule(target="fun", kind="direct", sources=("c",)),
-        ),
-        reassignments=(cw.Reassignment(source="b", from_item="food", to_item="fun"),),
-        version="test-1",
-        notes="round trip",
-    )
-    assert cw.parse_spec(cw.dump_spec(spec)) == spec
-
-
 def test_parse_rejects_malformed_documents():
     with pytest.raises(SpecInvalidError):
         cw.parse_spec("just a string")

@@ -295,6 +295,14 @@ def test_load_prices_zero_relative_errors():
         ingest.load_prices(io.StringIO("item,period,relative\nfood,2020-01,0\n"))
 
 
+@pytest.mark.parametrize("relative", ["0", "-1", "inf", "nan"])
+def test_load_prices_rejects_relatives_not_finite_and_positive(relative):
+    text = f"item,period,relative\nfood,2020-01,1.0\nfood,2020-02,{relative}\n"
+    with pytest.raises(NonPositivePriceError, match="line 3: .* must be a finite number > 0") as exc:
+        ingest.load_prices(io.StringIO(text))
+    assert (exc.value.item, exc.value.period, exc.value.line) == ("food", Month(2020, 2), 3)
+
+
 def test_load_prices_gap_errors():
     text = "item,period,relative\nfood,2020-01,1.0\nfood,2020-03,1.0\n"
     with pytest.raises(GapInSeriesError):
