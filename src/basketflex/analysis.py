@@ -204,15 +204,8 @@ def _price_scenario(
     exist. The core-adjusted vectors, which the result does not keep, are
     built and priced before the other baskets and dropped.
     """
-    for item in weights.shares:
-        if item not in prices:
-            raise MissingPriceRelativeError(item)
-    basket_prices = {item: prices[item] for item in weights.shares}
-    start = max(s.start for s in basket_prices.values())
-    end = min(s.end for s in basket_prices.values())
-    if end < start:
-        raise NoOverlappingPeriodsError("price series share no common months")
-    priced_months = month_range(start, end)
+    basket_prices, priced_months = _basket_prices(weights, prices)
+    start, end = priced_months[0], priced_months[-1]
     axis = [m for m in priced_months if m in relatives]
     if not axis:
         raise NoOverlappingPeriodsError(
@@ -266,6 +259,21 @@ def _price_scenario(
         bias=tuple(weighting_bias(official_pts, adjusted_pts)),
         core_bias=tuple(weighting_bias(core_off_pts, core_adj_pts)),
     )
+
+
+def _basket_prices(
+    weights: WeightVector, prices: Mapping[ItemId, PriceRelativeSeries]
+) -> tuple[dict[ItemId, PriceRelativeSeries], list[Month]]:
+    """The basket items' price series, and the months all of them cover."""
+    for item in weights.shares:
+        if item not in prices:
+            raise MissingPriceRelativeError(item)
+    basket_prices = {item: prices[item] for item in weights.shares}
+    start = max(s.start for s in basket_prices.values())
+    end = min(s.end for s in basket_prices.values())
+    if end < start:
+        raise NoOverlappingPeriodsError("price series share no common months")
+    return basket_prices, month_range(start, end)
 
 
 @dataclass(frozen=True)

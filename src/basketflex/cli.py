@@ -29,9 +29,18 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-from . import analysis, crosswalk, ingest
+from . import analysis, core, crosswalk, ingest
 from .analysis import ScenarioConfig
-from .errors import BOOL, STRING, STRINGS, BasketflexError, ConfigError, UsageError, check_shape
+from .errors import (
+    BOOL,
+    STRING,
+    STRINGS,
+    BasketflexError,
+    ConfigError,
+    FixedMonthOutOfRangeError,
+    UsageError,
+    check_shape,
+)
 from .periods import Month
 
 log = logging.getLogger("basketflex")
@@ -181,9 +190,9 @@ class RunManifest:
                 raise BasketflexError(f"no {name} file given (flag or manifest)")
             if not Path(p).is_file():
                 raise BasketflexError(f"{name} file not found: {p}")
+        self.config()  # ConfigError here, before any input file is read
         if not for_run:
             return
-        self.config()  # ConfigError here, before any input file is read
         if not self.formats:
             raise BasketflexError("no output formats selected")
         bad = set(self.formats) - {"csv", "json"}
@@ -399,6 +408,7 @@ def cmd_validate(manifest, **flags) -> None:
     # --out is not used; it satisfies the manifest builder
     m = _manifest_from(manifest, out=".", **flags)
     m.check(for_run=False)
+    config = m.config()
     weights, prices, panel, spec = _load_inputs(m)
     findings = crosswalk.validate(spec, set(weights.shares), panel.categories)
     if findings:
@@ -407,6 +417,13 @@ def cmd_validate(manifest, **flags) -> None:
         print(json.dumps({"error": "SpecInvalidError",
                           "findings": [str(f) for f in findings]}), file=sys.stderr)
         raise SystemExit(2)
+    # what run refuses of this configuration, without its relatives or pricing
+    ingest.base_period(panel, config.base_months)
+    core.exclude_items(weights, config.core_exclusions)
+    _, priced_months = analysis._basket_prices(weights, prices)
+    fixed = config.fixed_weight_month
+    if fixed is not None and (fixed not in panel.months or fixed not in priced_months):
+        raise FixedMonthOutOfRangeError(fixed)
     print(
         f"ok: {len(weights.shares)} items, {len(panel.categories)} categories, "
         f"{len(panel.months)} panel months, {len(prices)} price series"

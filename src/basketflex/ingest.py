@@ -11,7 +11,10 @@ quoted fields may contain commas and newlines):
 Each file is read in one pass by one CSV reader, and every error names the
 line its record starts on. :func:`read_expenditure_panel` folds daily
 expenditure records straight into (category, month) cells, so its memory
-is bounded by the cells rather than the records.
+is bounded by the cells rather than the records. A plain expenditure file
+(LF lines, no quotes, comments or blank lines) is first read in text blocks
+split and converted in C; on anything else that reader declines and the CSV
+reader reads the file from the start, so errors have one source.
 
 Monetary amounts are parsed as exact decimal strings, must lie strictly
 inside ±1e15 (``AMOUNT_LIMIT``), and are accumulated in a high-precision
@@ -28,6 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .core import ItemId, PriceRelativeSeries, WeightVector, normalize_weights
@@ -57,8 +61,15 @@ WEIGHT_SUM_ERROR = 1e-2
 # amounts leaves the decimal context and no total overflows a float.
 AMOUNT_LIMIT = Decimal("1e15")
 
+# A price relative must be below RELATIVE_LIMIT, so a product of twelve of
+# them, times 100, stays a finite float (1e25**12 * 100 = 1e302).
+RELATIVE_LIMIT = 1e25
+
 _PREC = 50
 _ZERO = Decimal(0)
+# Characters of the block reader's text blocks; 4 KiB keeps the read's peak
+# memory within about twice the panel it builds.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,7 @@ class ExpenditurePanel:
             warnings.warn(
                 f"{missing} category-month cells had no records and were set to 0",
                 MissingCellWarning,
-                stacklevel=3,  # the constructor's caller, or _fold
+                stacklevel=3,  # the constructor's caller, or _panel_of
             )
 
     def total(self, category: CategoryId, month: Month) -> Decimal:
@@ -155,7 +166,9 @@ def aggregate_daily(
     (1e15). A rejected record names its file line when it was read
     from a file.
     """
-    return _fold(((r.line, r.date, r.category, r.amount) for r in records), allow_negative)
+    return _panel_of(
+        _fold(((r.line, r.date, r.category, r.amount) for r in records), allow_negative)
+    )
 
 
 def read_expenditure_panel(path, allow_negative: bool = False) -> ExpenditurePanel:
@@ -164,20 +177,83 @@ def read_expenditure_panel(path, allow_negative: bool = False) -> ExpenditurePan
     Equivalent to ``aggregate_daily(load_expenditures(path, allow_negative),
     allow_negative)`` with the same checks, errors and warnings, but no
     record list is built: memory is bounded by the category-month cells.
+    A path is tried with the block reader first; a text stream, or a file
+    that reader declines, is read row by row.
     """
-    with _table(path, _EXPENDITURE_HEADER) as rows:
-        return _fold(_expenditure_rows(rows), allow_negative)
+    sums = None if hasattr(path, "read") else _block_sums(path, allow_negative)
+    if sums is None:
+        with _table(path, _EXPENDITURE_HEADER) as rows:
+            sums = _fold(_expenditure_rows(rows), allow_negative)
+    return _panel_of(sums)
+
+
+def _block_sums(path, allow_negative: bool) -> dict[CategoryId, dict[int, Decimal]] | None:
+    """``_fold``'s month sums of a plain expenditure file, or None to decline.
+
+    The file is read in blocks of whole LF lines after an exact
+    ``date,category,amount`` header; each block is split into its three
+    columns and its amounts converted in C, checked with one min and max,
+    and added in file order, so the sums equal ``_fold``'s to the exponent.
+    The reader raises no input error: a quote, ``#``, CR or NUL, a line
+    without exactly two commas or longer than two blocks, a value that does
+    not parse or is out of range, or an empty or padded category declines,
+    and the row reader then reports the error from the file's start.
+    """
+    sums: dict[CategoryId, dict[int, Decimal]] = {}
+    month_of: dict[str, int] = {}
+    carry = ""
+    try:
+        with open(path, encoding="utf-8-sig", newline="\n") as fh, localcontext() as ctx:
+            ctx.prec = _PREC
+            if fh.readline() != ",".join(_EXPENDITURE_HEADER) + "\n":
+                return None
+            while True:
+                block = fh.read(_BLOCK)
+                text = carry + block
+                end = text.rfind("\n") if block else len(text)
+                if end < 0:  # no line ends in this block
+                    if len(text) > 2 * _BLOCK:
+                        return None
+                    carry = text
+                    continue
+                text, carry = text[:end], text[end + 1:]
+                if text:
+                    if any(c in text for c in '"#\r\0') or set(
+                        map(str.count, text.split("\n"), repeat(","))
+                    ) != {2}:
+                        return None
+                    fields = text.replace("\n", ",").split(",")
+                    dates, categories = fields[0::3], fields[1::3]
+                    amounts = list(map(Decimal, fields[2::3]))
+                    del fields  # and the amount strings, so they do not live beside the sums
+                    low = min(amounts)
+                    if max(amounts) >= AMOUNT_LIMIT or not (
+                        low > -AMOUNT_LIMIT if allow_negative else low >= _ZERO
+                    ):
+                        return None
+                    for d in set(dates).difference(month_of):
+                        month_of[d] = Month.of_date(dt.date.fromisoformat(d.strip())).index
+                    for c in set(categories).difference(sums):
+                        if not c or c != c.strip():
+                            return None
+                        sums[c] = {}
+                    for c, m, v in zip(categories, map(month_of.__getitem__, dates), amounts):
+                        cells = sums[c]
+                        cells[m] = cells.get(m, _ZERO) + v
+                if not block:
+                    return sums
+    except (ValueError, ArithmeticError):  # UnicodeDecodeError and InvalidOperation too
+        return None
 
 
 def _fold(
     rows: Iterable[tuple[int | None, dt.date, CategoryId, Decimal]], allow_negative: bool
-) -> ExpenditurePanel:
-    """Accumulate (line, date, category, amount) rows into a panel.
+) -> dict[CategoryId, dict[int, Decimal]]:
+    """Accumulate (line, date, category, amount) rows into month sums.
 
     Each category sums into a dict keyed by month index, because hashing a
     ``Month`` (or a tuple key) per row dominates the loop; ``Month`` objects
-    are built once per month at the end, and each dict is dropped as its
-    column of the panel is built.
+    are built once per month by :func:`_panel_of`.
     """
     sums: dict[CategoryId, dict[int, Decimal]] = {}
     month_of: dict[dt.date, int] = {}
@@ -201,6 +277,14 @@ def _fold(
             if cells is None:
                 cells = sums[category] = {}
             cells[m] = cells.get(m, _ZERO) + amount
+    return sums
+
+
+def _panel_of(sums: dict[CategoryId, dict[int, Decimal]]) -> ExpenditurePanel:
+    """The panel of the month sums; each dict is dropped as its column is built.
+
+    Its warnings name the caller of the function that called it.
+    """
     if not sums:
         raise EmptyInputError("no expenditure records")
     seen = set().union(*sums.values())
@@ -419,7 +503,8 @@ def load_weights(path) -> WeightVector:
 def load_prices(path) -> dict[ItemId, PriceRelativeSeries]:
     """Read per-item month-over-month price factors from ``prices.csv``.
 
-    Each distinct period string is parsed once, so all items share one
+    A relative must be a finite number above 0 and below ``RELATIVE_LIMIT``
+    (1e25). Each distinct period string is parsed once, so all items share one
     ``Month`` per period.
     """
     by_item: dict[ItemId, dict[Month, float]] = {}
@@ -443,6 +528,11 @@ def load_prices(path) -> dict[ItemId, PriceRelativeSeries]:
                 raise SchemaError("relative", line, f"bad relative {raw_rel!r}")
             if not 0 < rel < math.inf:  # also nan
                 raise NonPositivePriceError(item, period, line)
+            if rel >= RELATIVE_LIMIT:
+                raise SchemaError(
+                    "relative", line, f"relative {raw_rel!r} for {item!r} at {period} is not "
+                    f"below {RELATIVE_LIMIT:g}"
+                )
             series = by_item.setdefault(item, {})
             if period in series:
                 raise SchemaError("period", line, f"duplicate period {period} for {item!r}")

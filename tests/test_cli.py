@@ -337,7 +337,42 @@ def test_run_missing_input_file(example_manifest, tmp_path):
 def test_validate_ok(example_manifest):
     proc = run_cli("validate", "--manifest", example_manifest)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("ok:")
+    assert proc.stdout == "ok: 11 items, 11 categories, 18 panel months, 11 price series\n"
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"annual_method": ""}, "ConfigError"),
+    ({"base_months": ["2019-01"]}, "BaseMonthMissingError"),
+    ({"core_exclude": ["nope"]}, "UnknownItemError"),
+    ({"fixed_weight_month": "2030-01"}, "FixedMonthOutOfRangeError"),
+])
+def test_validate_refuses_what_run_refuses(example_dir, tmp_path, changes, error):
+    manifest = _manifest_file(example_dir, tmp_path, **changes)
+    for command, out in (("run", ("--out", str(tmp_path / "out"))), ("validate", ())):
+        proc = run_cli(command, "--manifest", manifest, *out)
+        assert proc.returncode == 2, (command, proc.stdout, proc.stderr)
+        report = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert report["error"] == error, command
+        assert "internal" not in report
+        assert "ok:" not in proc.stdout
+
+
+@pytest.mark.parametrize("relative", ["1e308", "1e25"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_price_relative_at_the_limit_exits_2_with_line(example_dir, tmp_path, relative, command):
+    lines = (example_dir / "prices.csv").read_text().splitlines(keepends=True)
+    item, period, _ = lines[5].split(",")
+    lines[5] = f"{item},{period},{relative}\n"
+    prices = tmp_path / "prices.csv"
+    prices.write_text("".join(lines))
+    out = ("--out", str(tmp_path / "out")) if command == "run" else ()
+    proc = run_cli(command, "--manifest", str(example_dir / "manifest.json"),
+                   "--prices", str(prices), *out)
+    report = _input_error_report(proc, prices)
+    assert report["error"] == "SchemaError"
+    assert (report["line"], report["column"]) == ("6", "relative")
+    assert "not below 1e+25" in report["message"]
+    assert not (tmp_path / "out" / "scenario_result.json").exists()
 
 
 def test_validate_reports_findings(example_dir, tmp_path):

@@ -4,12 +4,16 @@ import random
 import tracemalloc
 import warnings
 from decimal import Decimal as D
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketflex import ingest, synth
 from basketflex.errors import (
     BaseMonthMissingError,
+    BasketflexError,
     EmptyInputError,
     GapInSeriesError,
     GapWarning,
@@ -157,18 +161,23 @@ def test_panel_table_keeps_its_contract():
     assert (exc.value.category, exc.value.period) == ("a", feb)
 
 
-def test_panel_warnings_keep_their_stacklevel():
+def test_panel_warnings_keep_their_stacklevel(tmp_path):
     jan = Month(2020, 1)
+    text = "date,category,amount\n2020-01-05,a,1\n2020-03-05,b,1\n"
+    path = tmp_path / "expenditures.csv"
+    path.write_text(text, newline="")
+    assert ingest._block_sums(path, False) is not None  # the path takes the block reader
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ingest.ExpenditurePanel([jan, Month(2020, 2)], {("a", jan): D("1")})
-        ingest.read_expenditure_panel(
-            io.StringIO("date,category,amount\n2020-01-05,a,1\n2020-03-05,b,1\n")
-        )
+        ingest.read_expenditure_panel(io.StringIO(text))
+        ingest.read_expenditure_panel(path)
     assert [(w.category, w.filename) for w in caught] == [
         (MissingCellWarning, __file__),  # the constructor's caller
-        (GapWarning, __file__),  # the reader's caller
-        (MissingCellWarning, ingest.__file__),  # the fold
+        *[
+            (GapWarning, __file__),  # the reader's caller
+            (MissingCellWarning, ingest.__file__),  # the panel's tail
+        ] * 2,
     ]
 
 
@@ -293,6 +302,16 @@ def test_load_prices_builds_series():
 def test_load_prices_zero_relative_errors():
     with pytest.raises(NonPositivePriceError):
         ingest.load_prices(io.StringIO("item,period,relative\nfood,2020-01,0\n"))
+
+
+@pytest.mark.parametrize("relative", ["1e25", "1e308", "99999999999999999999999999"])
+def test_load_prices_rejects_relatives_at_the_limit(relative):
+    text = f"item,period,relative\nfood,2020-01,1.0\nfood,2020-02,{relative}\n"
+    with pytest.raises(SchemaError, match="line 3, column 'relative': .* not below 1e\\+25") as exc:
+        ingest.load_prices(io.StringIO(text))
+    assert exc.value.line == 3
+    text = "item,period,relative\nfood,2020-01,9.999999999999999e24\n"
+    assert ingest.load_prices(io.StringIO(text))["food"].at(Month(2020, 1)) < ingest.RELATIVE_LIMIT
 
 
 @pytest.mark.parametrize("relative", ["0", "-1", "inf", "nan"])
@@ -438,3 +457,110 @@ def test_panel_reader_reports_the_same_error_line(bad_row):
     with pytest.raises(MalformedRecordError) as one_pass:
         ingest.read_expenditure_panel(io.StringIO(text))
     assert one_pass.value.line == two_step.value.line == lines.index(bad_row) + 1
+
+
+# --- block reader ---------------------------------------------------------------
+
+_DATES = [f"2020-{m:02d}-{d:02d}" for m in (1, 2, 4) for d in (1, 15, 28)]  # March is a gap
+_AMOUNTS = [
+    "1", "0.50", "12.345", "0", "-0", "999999999999999.99", "1e-40", "1E+2",
+    # 50 significant digits and more: the sums round, so their order counts
+    "0.33333333333333333333333333333333333333333333333333333",
+    "123456789012345.123456789012345678901234567890123456789",
+    "99999999999999.999999999999999999999999999999999999999",
+]
+# Each is one line (or two) that only the row reader may read: the block
+# reader declines it, and the row reader accepts it or names its line.
+_ODD_LINES = [
+    *(f"2020-01-15,a,{amount}" for amount in (
+        "-2", "-999999999999999.99", "NaN", "-NaN", "Infinity", "-Infinity", "sNaN",
+        "1e15", "-1e15", "1_000", " 3 ", "x", "",
+    )),
+    "", "   ", "# note, with, commas", "  # 2020-01-05,a,1", '2020-01-05,"a",1', '"2020-01-05,a,1',
+    '2020-01-05,"b\nc",1', "2020-01-05,a", "2020-01-05,a,1,2", "2020-01-05,a,1,2020-01-15\nb,2",
+    "2020-13-01,a,1", " 2020-01-05 ,a,1", "2020-01-05,a\0,1", "2020-01-05,a\r,1",
+    "2020-01-05,b#,1", "2020-01-05,,1", "2020-01-05, a,1", "2020-01-05,a ,1", "2020-01-05,\u2028,1",
+]
+
+
+@st.composite
+def _ledgers(draw) -> bytes:
+    """Small expenditure files, plain but for at most a few odd lines or bytes."""
+    record = st.builds(
+        "{},{},{}".format,
+        st.sampled_from(_DATES), st.sampled_from(["a", "b", "\xe9t\xe9"]), st.sampled_from(_AMOUNTS),
+    )
+    # long categories put line ends on either side of block boundaries;
+    # one longer than two blocks is declined
+    long_line = st.builds("2020-01-28,{},7".format, st.integers(1, 9000).map("z".__mul__))
+    lines = draw(st.lists(st.one_of(record, record, long_line), max_size=30))
+    filler = draw(st.integers(0, 400))
+    lines[0:0] = [f"2020-02-15,b,{k % 97}.{k % 7}" for k in range(filler)]
+    for odd in draw(st.lists(st.sampled_from(_ODD_LINES), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    header = draw(st.sampled_from(["date,category,amount"] * 6 + [
+        " Date , CATEGORY,amount", "# ledger\ndate,category,amount", "\ndate,category,amount",
+        "date,category", "item,weight,amount",
+    ]))
+    end = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
+    text = end.join([header, *lines]) + (end if draw(st.booleans()) else "")
+    data = ("\ufeff" if draw(st.booleans()) else "").encode() + text.encode()
+    if draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _read_outcome(path, allow_negative):
+    """The panel, cell by cell as text, or the error; and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            panel = ingest.read_expenditure_panel(path, allow_negative)
+        except BasketflexError as exc:
+            outcome = (type(exc), str(exc), getattr(exc, "line", None))
+        else:
+            outcome = (panel.months, [
+                (c, [str(panel.total(c, m)) for m in panel.months]) for c in panel.categories
+            ])
+    return outcome, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def ledger_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ledger") / "expenditures.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_ledgers(), allow_negative=st.booleans())
+def test_block_reader_matches_the_row_reader(ledger_path, data, allow_negative):
+    ledger_path.write_bytes(data)
+    got = _read_outcome(ledger_path, allow_negative)
+    with mock.patch.object(ingest, "_block_sums", return_value=None):
+        expect = _read_outcome(ledger_path, allow_negative)
+    assert got == expect
+
+
+def test_block_reader_takes_plain_ledgers(tmp_path, example_dir):
+    economy = synth.SyntheticEconomySpec(
+        items=tuple(synth.SyntheticItem(f"i{k}", D(k + 1), D(7 * k + 3)) for k in range(9)),
+        months=14, seed=3, max_records_per_month=9,
+    )
+    generated = tmp_path / "expenditures.csv"
+    generated.write_text(synth.generate(economy).expenditures_csv, newline="")
+    assert generated.stat().st_size > 2 * ingest._BLOCK
+    for path in (generated, example_dir / "expenditures.csv"):
+        for allow_negative in (False, True):
+            assert ingest._block_sums(path, allow_negative) is not None, (path, allow_negative)
+        with mock.patch.object(ingest, "_block_sums", return_value=None):
+            rows = _read_outcome(path, False)
+        assert _read_outcome(path, False) == rows
+
+
+def test_block_reader_declines_a_line_longer_than_two_blocks(tmp_path):
+    # the block reader holds at most two blocks of a line, so its memory is bounded
+    path = tmp_path / "expenditures.csv"
+    long = "z" * (3 * ingest._BLOCK)
+    path.write_text(f"date,category,amount\n2020-01-05,a,1\n2020-01-06,{long},2\n", newline="")
+    assert ingest._block_sums(path, False) is None
+    assert ingest.read_expenditure_panel(path).categories == ("a", long)
