@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
+import json
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from math import isfinite
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import crosswalk as cw
 from . import ingest
@@ -325,12 +329,8 @@ def _weights_dicts(vectors: Iterable[WeightVector]) -> list[dict]:
     return [{"period": str(v.period), "raw_sum": v.raw_sum, "shares": v.shares} for v in vectors]
 
 
-def result_to_dict(result: ScenarioResult) -> dict:
-    """JSON-ready form of a scenario result; see ``result_from_dict``.
-
-    Shares and contributions are the result's own dicts, in their own key
-    order: dump with sorted keys for stable text, and do not mutate them.
-    """
+def _head_dict(result: ScenarioResult) -> dict:
+    """The members of the result document other than its numbers."""
     cfg = result.config
     return {
         "schema": RESULT_SCHEMA,
@@ -351,6 +351,18 @@ def result_to_dict(result: ScenarioResult) -> dict:
         },
         "periods": [str(m) for m in result.periods],
         "in_lockdown": [cfg.in_lockdown(m) for m in result.periods],
+    }
+
+
+def result_to_dict(result: ScenarioResult) -> dict:
+    """JSON-ready form of a scenario result; see ``result_from_dict``.
+
+    Shares and contributions are the result's own dicts, in their own key
+    order: dump with sorted keys for stable text, and do not mutate them.
+    ``write_result`` writes this document without building it.
+    """
+    return {
+        **_head_dict(result),
         "weights": {
             "official": _weights_dicts(result.official_weights),
             "adjusted": _weights_dicts(result.adjusted_weights),
@@ -472,78 +484,237 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else repr(x)
 
 
-class _CsvFields(dict):
-    """Text -> its CSV field, quoted on first lookup by the csv module's
-    QUOTE_MINIMAL rules, so each item id is quoted once per file."""
+# --- result files -------------------------------------------------------------
+# ``write_result`` writes the JSON document and the four tidy CSV files in one
+# pass. A number's text is its ``repr`` in every file: what ``json`` prints
+# for a float.
 
-    def __missing__(self, text: str) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text, ""])
-        field = self[text] = buf.getvalue()[:-2]  # drop the empty field's ",\n"
-        return field
+RESULT_JSON = "scenario_result.json"
+
+CSV_FILES = {  # file name -> header line, in the order ``run`` writes them
+    "inflation.csv": "period,series,monthly_pct,annual_pct,in_lockdown\n",
+    "weights.csv": "period,basket,item,weight,in_lockdown\n",
+    "contributions.csv": "period,series,item,contribution_pp\n",
+    "bias.csv": "period,scope,monthly_pp,annual_pp\n",
+}
 
 
-def _block(prefix: str, middles: list[str], suffix: str = "") -> str:
-    """CSV lines ``prefix + middle + suffix``, one per middle, as one string."""
-    if not middles:
+def _number(x, *where: str) -> str:
+    """The text of a number in every result file; a nan or inf raises ``ValueError``."""
+    if isfinite(x):
+        return repr(x)
+    raise ValueError(f"refusing to write the non-finite number {x!r} ({' '.join(where)})")
+
+
+def _numbers(values: Mapping[ItemId, float], order: list[ItemId], *where: str) -> list[str]:
+    """``_number`` of each value, in ``order``."""
+    if not all(map(isfinite, values.values())):
+        bad = next(i for i in order if not isfinite(values[i]))
+        _number(values[bad], *where, f"item {bad!r}")
+    return list(map(repr, map(values.__getitem__, order)))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field, quoted by the csv module's QUOTE_MINIMAL rules, and a comma."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
+def _csv_lines(prefix: str, fields: list[str], values: list[str], suffix: str = "") -> str:
+    """CSV lines ``prefix + field + value + suffix``, one per item."""
+    if not values:
         return ""
-    return prefix + (suffix + "\n" + prefix).join(middles) + suffix + "\n"
+    return prefix + (suffix + "\n" + prefix).join(map(add, fields, values)) + suffix + "\n"
 
 
-# The four tidy writers yield CSV text: the header line, then one block per
-# inflation point or weight vector, byte for byte what ``csv.writer`` with
-# ``lineterminator="\n"`` writes for the same rows.
+def _json_object(keys: list[str], values: list[str]) -> str:
+    """A shares or contributions object, indented as ``json.dumps(indent=2)`` does."""
+    if not values:
+        return "{}"
+    return "{" + ",".join(map(add, keys, values)) + "\n        }"
+
+
+def _write_list(write, elements: Iterable[str], pad: str) -> None:
+    """Write a JSON list of element texts; ``pad`` is the newline and indent
+    of the list's own line."""
+    sep = "[" + pad + "  "
+    for text in elements:
+        write(sep + text)
+        sep = "," + pad + "  "
+    write("[]" if sep[0] == "[" else pad + "]")
+
+
+def _write_lists(write, keys: tuple[str, ...], lists) -> None:
+    """Write a JSON object of lists in sorted key order, passing over the
+    lists in the order of ``keys``, their CSV order.
+
+    ``lists(key, to_csv, to_json)`` writes the CSV lines of one list when
+    ``to_csv`` is true and yields its JSON elements when ``to_json`` is. A
+    list whose JSON is not yet due when its CSV lines are is passed over a
+    second time for the JSON once it is, rather than held in memory.
+    """
+    due = sorted(keys)
+    passed = set()
+    sep = "{"
+
+    def put(key: str, to_csv: bool) -> None:
+        nonlocal sep
+        write(f'{sep}\n    "{key}": ')
+        _write_list(write, lists(key, to_csv, True), "\n    ")
+        sep = ","
+
+    for key in keys:
+        if key == due[0]:
+            put(due.pop(0), True)
+        else:
+            for _ in lists(key, True, False):
+                pass
+        passed.add(key)
+        while due and due[0] in passed:
+            put(due.pop(0), False)
+    write("\n  }")
+
+
+def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], object]]) -> None:
+    """Write the result files named in ``out`` (file name -> write function).
+
+    The names are ``RESULT_JSON`` and those of ``CSV_FILES``. The JSON text
+    is ``json.dumps(result_to_dict(result), indent=2, sort_keys=True)`` plus
+    a newline; each CSV file holds what ``csv.writer`` with
+    ``lineterminator="\\n"`` writes for its tidy rows. One pass over the
+    result writes them all, in CSV order, and formats each number once,
+    except that the ``official`` and ``core_official`` series and the
+    ``official`` weights are formatted again for the JSON, which lists them
+    after lists that their CSV lines precede. A nan or inf raises
+    ``ValueError``: no result file carries one.
+    """
+    write_json = out.get(RESULT_JSON)
+    inflation, weights, contributions, bias = map(out.get, CSV_FILES)
+    for name, header in CSV_FILES.items():
+        if name in out:
+            out[name](header)
+
+    @functools.cache
+    def period(month: Month) -> tuple[str, str]:  # its text and its lockdown flag
+        return str(month), str(int(result.config.in_lockdown(month)))
+
+    @functools.cache
+    def items(ids: frozenset) -> tuple[list, list, list]:  # sorted, CSV fields, JSON keys
+        order = sorted(ids)
+        return (order, list(map(_csv_field, order)),
+                [f"\n          {json.dumps(item)}: " for item in order])
+
+    def biases(key: str, to_csv: bool, to_json: bool):
+        scope, points = ("headline", result.bias) if key == "bias" else ("core", result.core_bias)
+        to_bias = to_csv and bias
+        if not (to_bias or to_json):
+            return
+        for b in points:
+            text = period(b.period)[0]
+            m = _number(b.monthly_pp, key, text)
+            a = None if b.annual_pp is None else _number(b.annual_pp, key, text)
+            if to_bias:
+                bias(f"{text},{scope},{m},{a or ''}\n")
+            if to_json:
+                yield (f'{{\n      "annual_pp": {a or "null"},\n      "monthly_pp": {m},'
+                       f'\n      "period": "{text}"\n    }}')
+
+    def points(name: str, to_csv: bool, to_json: bool):
+        to_inflation, to_contributions = to_csv and inflation, to_csv and contributions
+        for p in result.series(name):
+            text, flag = period(p.period)
+            if to_inflation or to_json:
+                m = _number(p.monthly_pct, name, text)
+                a = None if p.annual_pct is None else _number(p.annual_pct, name, text)
+            if to_inflation:
+                inflation(f"{text},{name},{m},{a or ''},{flag}\n")
+            if not (to_contributions or to_json):
+                continue
+            order, fields, keys = items(frozenset(p.contributions))
+            values = _numbers(p.contributions, order, name, text)
+            if to_contributions:
+                contributions(_csv_lines(f"{text},{name},", fields, values))
+            if to_json:
+                yield (f'{{\n        "annual_pct": {a or "null"},\n        "contributions": '
+                       f'{_json_object(keys, values)},\n        "monthly_pct": {m},'
+                       f'\n        "period": "{text}"\n      }}')
+
+    def vectors(basket: str, to_csv: bool, to_json: bool):
+        to_weights = to_csv and weights
+        if not (to_weights or to_json):
+            return
+        shares = None
+        for v in result.official_weights if basket == "official" else result.adjusted_weights:
+            text, flag = period(v.period)
+            if v.shares is not shares:  # the official basket shares one dict
+                shares = v.shares
+                order, fields, keys = items(frozenset(shares))
+                values = _numbers(shares, order, basket, text)
+                obj = _json_object(keys, values) if to_json else ""
+            if to_weights:
+                weights(_csv_lines(f"{text},{basket},", fields, values, "," + flag))
+            if to_json:
+                raw_sum = _number(v.raw_sum, basket, text, "raw_sum")
+                yield (f'{{\n        "period": "{text}",\n        "raw_sum": {raw_sum},'
+                       f'\n        "shares": {obj}\n      }}')
+
+    if write_json is None:
+        for lists, keys in ((biases, ("bias", "core_bias")), (points, SERIES_NAMES),
+                            (vectors, ("official", "adjusted"))):
+            for key in keys:
+                for _ in lists(key, True, False):
+                    pass
+        return
+
+    head = _head_dict(result)
+
+    def member(key: str) -> None:
+        text = json.dumps(head[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        write_json(f',\n  "{key}": {text}')
+
+    write_json('{\n  "bias": ')
+    _write_list(write_json, biases("bias", True, True), "\n  ")
+    member("config")
+    write_json(',\n  "core_bias": ')
+    _write_list(write_json, biases("core_bias", True, True), "\n  ")
+    for key in ("country", "in_lockdown", "periods", "schema"):
+        member(key)
+    write_json(',\n  "series": ')
+    _write_lists(write_json, SERIES_NAMES, points)
+    member("variant")
+    write_json(',\n  "weights": ')
+    _write_lists(write_json, ("official", "adjusted"), vectors)
+    write_json("\n}\n")
+
+
+def _file_text(result: ScenarioResult, name: str) -> Iterator[str]:
+    chunks: list[str] = []
+    write_result(result, {name: chunks.append})
+    return iter(chunks)
+
+
+# The four tidy CSV files, as ``write_result`` writes them, chunk by chunk.
 
 
 def inflation_rows(result: ScenarioResult) -> Iterator[str]:
     """Tidy CSV, header first: one line per period and series, for the rate panels."""
-    yield "period,series,monthly_pct,annual_pct,in_lockdown\n"
-    in_lockdown = result.config.in_lockdown
-    for name in SERIES_NAMES:
-        for p in result.series(name):
-            yield (
-                f"{p.period},{name},{_fmt(p.monthly_pct)},{_fmt(p.annual_pct)},"
-                f"{int(in_lockdown(p.period))}\n"
-            )
+    return _file_text(result, "inflation.csv")
 
 
 def weight_rows(result: ScenarioResult) -> Iterator[str]:
-    """Tidy CSV, header first: one line per period, basket and item, for weight paths.
-
-    Vectors that share their ``shares`` dict with the previous one (the
-    official basket, and the frozen adjusted one) reuse its formatted items.
-    """
-    yield "period,basket,item,weight,in_lockdown\n"
-    in_lockdown = result.config.in_lockdown
-    fields = _CsvFields()
-    for basket, vectors in (
-        ("official", result.official_weights),
-        ("adjusted", result.adjusted_weights),
-    ):
-        shares = None
-        for v in vectors:
-            if v.shares is not shares:
-                shares = v.shares
-                middles = [f"{fields[i]},{_fmt(shares[i])}," for i in sorted(shares)]
-            yield _block(f"{v.period},{basket},", middles, str(int(in_lockdown(v.period))))
+    """Tidy CSV, header first: one line per period, basket and item, for weight paths."""
+    return _file_text(result, "weights.csv")
 
 
 def contribution_rows(result: ScenarioResult) -> Iterator[str]:
     """Tidy CSV, header first: one line per period, series and item, in percentage points."""
-    yield "period,series,item,contribution_pp\n"
-    fields = _CsvFields()
-    for name in SERIES_NAMES:
-        for p in result.series(name):
-            c = p.contributions
-            yield _block(f"{p.period},{name},", [f"{fields[i]},{_fmt(c[i])}" for i in sorted(c)])
+    return _file_text(result, "contributions.csv")
 
 
 def bias_rows(result: ScenarioResult) -> Iterator[str]:
     """Tidy CSV, header first: headline and core bias per period."""
-    yield "period,scope,monthly_pp,annual_pp\n"
-    for scope, series in (("headline", result.bias), ("core", result.core_bias)):
-        for b in series:
-            yield f"{b.period},{scope},{_fmt(b.monthly_pp)},{_fmt(b.annual_pp)}\n"
+    return _file_text(result, "bias.csv")
 
 
 def comparison_rows(rows: Iterable[CountryBias]) -> list[list[str]]:

@@ -14,10 +14,10 @@ Arguments are parsed with :mod:`argparse`; only ``generate`` imports ``synth``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as dt
 import io
-import itertools
 import json
 import logging
 import os
@@ -30,7 +30,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from . import analysis, core, crosswalk, ingest
-from .analysis import ScenarioConfig
+from .analysis import RESULT_JSON, ScenarioConfig
 from .errors import (
     BOOL,
     STRING,
@@ -45,38 +45,52 @@ from .periods import Month
 
 log = logging.getLogger("basketflex")
 
-RESULT_JSON = "scenario_result.json"
 
+@contextlib.contextmanager
+def _replaced_together(paths: list[Path]):
+    """Open a temp file beside each of ``paths``; rename them over ``paths``
+    once the block has written them all.
 
-def _write_atomic(path: Path, data) -> None:
-    """Write ``data`` to ``path`` through a temp file and a rename.
-
-    ``data`` is a ``str`` or an iterable of ``str`` chunks, so large outputs
-    can be streamed. The file gets the mode a plain ``open`` would give it
-    (``0o666`` less the umask), not the temp file's ``0o600``. On any
-    exception the temp file is removed and ``path`` is left as it was; an
-    ``OSError`` (the directory is a file, ``path`` is a directory, no
-    permission) becomes a ``BasketflexError`` carrying ``path``.
+    The files get the mode a plain ``open`` would give them (``0o666`` less
+    the umask), not the temp file's ``0o600``. On any exception before the
+    renames every temp file is removed and every path is left as it was; an
+    ``OSError`` (a directory is a file, a path is a directory, no permission,
+    no space) becomes a ``BasketflexError`` carrying the path it concerns,
+    or, while the block writes several files, their directory.
     """
+    temps = []
+    where = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                if isinstance(data, str):
-                    fh.write(data)
-                else:
-                    fh.writelines(data)
-                os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            os.replace(tmp, path)
+            for where in paths:
+                where.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=where.parent, prefix=".tmp-")
+                temps.append((tmp, os.fdopen(fd, "w", encoding="utf-8", newline="")))
+            where = paths[0] if len(paths) == 1 else paths[0].parent
+            yield [fh for _, fh in temps]
+            mode = 0o666 & ~_umask()
+            for _, fh in temps:
+                os.fchmod(fh.fileno(), mode)
+                fh.close()
+            for where, (tmp, _) in zip(paths, temps):
+                os.replace(tmp, where)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            for tmp, fh in temps:
+                with contextlib.suppress(OSError):
+                    fh.close()
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
             raise
     except OSError as exc:
-        err = BasketflexError(f"cannot write {path}: {exc.strerror or exc}")
-        err.path = str(path)
+        err = BasketflexError(f"cannot write {where}: {exc.strerror or exc}")
+        err.path = str(where)
         raise err from exc
+
+
+def _write_atomic(path: Path, data: str) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename."""
+    with _replaced_together([path]) as (fh,):
+        fh.write(data)
 
 
 def _umask() -> int:
@@ -89,41 +103,6 @@ def _csv_text(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
-
-
-def _is_leaf(value) -> bool:
-    return not isinstance(value, (dict, list, tuple)) or not value
-
-
-def _json_chunks(doc, level: int = 0):
-    """Yield ``json.dumps(doc, indent=2, sort_keys=True)`` piece by piece.
-
-    With ``indent`` set, ``json`` falls back to its pure-Python encoder and
-    builds the whole text in memory. Here a container holding only scalars
-    (or empty containers) is one C-encoder call whose item separator carries
-    the newline and indent, with its brackets re-padded to match; other
-    containers recurse. Dict keys must be strings.
-    """
-    if _is_leaf(doc):
-        yield json.dumps(doc)
-        return
-    pad = "\n" + "  " * (level + 1)
-    is_dict = isinstance(doc, dict)
-    if all(map(_is_leaf, doc.values() if is_dict else doc)):
-        text = json.dumps(doc, sort_keys=True, separators=("," + pad, ": "))
-        yield text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
-        return
-    if is_dict:
-        brackets, items = "{}", ((json.dumps(k) + ": ", v) for k, v in sorted(doc.items()))
-    else:
-        brackets, items = "[]", (("", v) for v in doc)
-    yield brackets[0]
-    sep = pad
-    for prefix, value in items:
-        yield sep + prefix
-        yield from _json_chunks(value, level + 1)
-        sep = "," + pad
-    yield pad[:-2] + brackets[1]
 
 
 def _load(loader, path: Path):
@@ -379,23 +358,11 @@ def cmd_run(manifest, **flags) -> None:
     result = analysis._price_scenario(config, weights, prices, relatives)
     del weights, prices, relatives
 
-    written = []
-    if "json" in m.formats:
-        # the dict lives only as long as this call, not while the CSVs are written
-        _write_atomic(
-            m.out / RESULT_JSON,
-            itertools.chain(_json_chunks(analysis.result_to_dict(result)), "\n"),
-        )
-        written.append(RESULT_JSON)
+    written = [RESULT_JSON] if "json" in m.formats else []
     if "csv" in m.formats:
-        for name, rows in (
-            ("inflation.csv", analysis.inflation_rows),
-            ("weights.csv", analysis.weight_rows),
-            ("contributions.csv", analysis.contribution_rows),
-            ("bias.csv", analysis.bias_rows),
-        ):
-            _write_atomic(m.out / name, rows(result))
-            written.append(name)
+        written += analysis.CSV_FILES
+    with _replaced_together([m.out / name for name in written]) as files:
+        analysis.write_result(result, {name: fh.write for name, fh in zip(written, files)})
 
     print(f"scenario {result.config.variant}: {result.periods[0]}..{result.periods[-1]}")
     for name in written:

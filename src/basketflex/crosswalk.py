@@ -356,27 +356,39 @@ def apply(
 #     to: culture-entertainment
 
 
+def _scalar(value, field: str, code: str = BAD_RULE) -> str:
+    """``str(value)``; a list or mapping where a single value belongs is a
+    ``SpecInvalidError`` naming ``field``, e.g. ``rules[0].target``."""
+    if isinstance(value, (list, set, Mapping)):
+        exc = SpecInvalidError(
+            [Finding(code, field, "must be a single value, not a list or mapping")]
+        )
+        exc.field = field
+        raise exc
+    return str(value)
+
+
 def _parse_rule(entry: Mapping, idx: int) -> Rule:
     if not isinstance(entry, Mapping) or "target" not in entry or "kind" not in entry:
         raise SpecInvalidError(
             [Finding(BAD_RULE, f"rules[{idx}]", "each rule needs target and kind")]
         )
+    where = f"rules[{idx}]"
+    target = _scalar(entry["target"], f"{where}.target")
     sources: tuple[str, ...] = ()
     if "source" in entry:
-        sources = (str(entry["source"]),)
+        sources = (_scalar(entry["source"], f"{where}.source"),)
     elif "sources" in entry:
         raw = entry["sources"]
         if not isinstance(raw, list):
-            raise SpecInvalidError(
-                [Finding(BAD_RULE, str(entry["target"]), "sources must be a list")]
-            )
-        sources = tuple(str(s) for s in raw)
+            raise SpecInvalidError([Finding(BAD_RULE, target, "sources must be a list")])
+        sources = tuple(_scalar(s, f"{where}.sources[{k}]") for k, s in enumerate(raw))
     return Rule(
-        target=str(entry["target"]),
-        kind=str(entry["kind"]),
+        target=target,
+        kind=_scalar(entry["kind"], f"{where}.kind"),
         sources=sources,
-        peer=str(entry["peer"]) if entry.get("peer") is not None else None,
-        notes=str(entry.get("notes", "")),
+        peer=_scalar(entry["peer"], f"{where}.peer") if entry.get("peer") is not None else None,
+        notes=_scalar(entry.get("notes", ""), f"{where}.notes"),
     )
 
 
@@ -416,19 +428,20 @@ def parse_spec(text: str) -> CrosswalkSpec:
                     )
                 ]
             )
+        where = f"reassignments[{i}]"
         reassignments.append(
             Reassignment(
-                source=str(e["source"]),
-                from_item=str(e["from"]),
-                to_item=str(e["to"]),
-                notes=str(e.get("notes", "")),
+                source=_scalar(e["source"], f"{where}.source", BAD_REASSIGNMENT),
+                from_item=_scalar(e["from"], f"{where}.from", BAD_REASSIGNMENT),
+                to_item=_scalar(e["to"], f"{where}.to", BAD_REASSIGNMENT),
+                notes=_scalar(e.get("notes", ""), f"{where}.notes", BAD_REASSIGNMENT),
             )
         )
     return CrosswalkSpec(
         rules=rules,
         reassignments=tuple(reassignments),
-        version=str(doc.get("version", "1")),
-        notes=str(doc.get("notes", "")),
+        version=_scalar(doc.get("version", "1"), "version"),
+        notes=_scalar(doc.get("notes", ""), "notes"),
     )
 
 

@@ -18,6 +18,7 @@ from the spec, so generated files are byte-stable across platforms.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -31,7 +32,24 @@ _PREC = 50
 _CENT = Decimal("0.01")
 _ONE = Decimal(1)
 MAX_MONTHS = 1200  # a century of monthly data
+# Base prices, base quantities and quantity multipliers lie within
+# 1e-MAGNITUDE..1e+MAGNITUDE, and so does each price drift compounded over the
+# horizon, so every spending figure lies within 1e-240..1e+240: a float.
+MAGNITUDE = 60
 _END_INDEX = Month(10000, 1).index  # dates are written as YYYY-MM-DD
+
+
+def _check_magnitude(value, field: str, power: int = 1) -> None:
+    """``value`` to the ``power`` must lie within 1e-MAGNITUDE..1e+MAGNITUDE."""
+    value = Decimal(value)
+    if -MAGNITUDE <= value.adjusted() < MAGNITUDE and abs(math.log10(value)) * power <= MAGNITUDE:
+        return
+    reach = "" if power == 1 else f" compounded over {power} months"
+    exc = InvalidEconomySpecError(
+        f"field {field!r}{reach} must lie within 1e-{MAGNITUDE}..1e{MAGNITUDE}, got {value}"
+    )
+    exc.field = field
+    raise exc
 
 
 @dataclass(frozen=True)
@@ -122,11 +140,14 @@ class SyntheticEconomySpec:
         known = set(ids)
         if len(known) != len(ids):
             raise InvalidEconomySpecError("duplicate item ids")
-        for it in self.items:
+        steps = self.months - 1  # price drifts compound over this many months
+        for k, it in enumerate(self.items):
             if it.base_price <= 0 or it.base_quantity <= 0:
                 raise InvalidEconomySpecError(
                     f"base price and quantity for {it.id!r} must be > 0"
                 )
+            _check_magnitude(it.base_price, f"items[{k}].base_price")
+            _check_magnitude(it.base_quantity, f"items[{k}].base_quantity")
             shares = it.category_shares()
             if shares:
                 with localcontext() as ctx:
@@ -144,23 +165,28 @@ class SyntheticEconomySpec:
         if len(set(cats)) != len(cats):
             raise InvalidEconomySpecError("a category is emitted by two items")
         last_end = None
-        for w in self.shock_windows:
+        for k, w in enumerate(self.shock_windows):
             if w.end < w.start:
                 raise InvalidEconomySpecError(f"shock window {w.start}..{w.end} is inverted")
             if last_end is not None and w.start <= last_end:
                 raise InvalidEconomySpecError("shock windows overlap or are unordered")
             last_end = w.end
-            for name, mults in (("multiplier", w.quantity_multipliers), ("drift", w.price_drifts)):
-                for item, v in mults.items():
+            for name, key, values, power in (
+                ("multiplier", "quantity_multipliers", w.quantity_multipliers, 1),
+                ("drift", "price_drifts", w.price_drifts, steps),
+            ):
+                for item, v in values.items():
                     if item not in known:
                         raise InvalidEconomySpecError(f"shock names unknown item {item!r}")
                     if v <= 0:
                         raise InvalidEconomySpecError(
                             f"{name} for {item!r} must be > 0, got {v}"
                         )
+                    _check_magnitude(v, f"shock_windows[{k}].{key}.{item}", power)
         for item, v in self.base_drifts.items():
             if v <= 0:
                 raise InvalidEconomySpecError(f"base drift for {item!r} must be > 0")
+            _check_magnitude(v, f"base_drifts.{item}", steps)
 
     def _window_at(self, month: Month) -> ShockWindow | None:
         for w in self.shock_windows:

@@ -818,6 +818,31 @@ def test_generate_refuses_unbounded_economies(example_dir, tmp_path, field, valu
 
 
 @pytest.mark.parametrize("field, mangle", [
+    ("base_drifts.food", lambda d: d.update(base_drifts={"food": "1e9999"})),
+    ("items[0].base_price", lambda d: d["items"][0].update(base_price="1e999990")),
+    ("shock_windows[0].quantity_multipliers.transport",
+     lambda d: d["shock_windows"][0]["quantity_multipliers"].update(transport="1e400")),
+    ("items[1].base_quantity", lambda d: d["items"][1].update(base_quantity="1e-61")),
+    # 1e4 is a small number, but not compounded over the 17 months of the horizon
+    ("shock_windows[0].price_drifts.food",
+     lambda d: d["shock_windows"][0]["price_drifts"].update(food="1e4")),
+], ids=["drift", "price", "multiplier", "quantity", "compounded-drift"])
+def test_generate_bounds_economy_magnitudes(example_dir, tmp_path, field, mangle):
+    # each exited 3 ("internal": true) with a non-finite weight or an
+    # InvalidOperation when the decimals were unbounded
+    doc = json.loads((example_dir / "economy.json").read_text())
+    mangle(doc)
+    economy = tmp_path / "economy.json"
+    economy.write_text(json.dumps(doc))
+    proc = run_cli("generate", "--economy", str(economy), "--out", str(tmp_path / "gen"))
+    report = _input_error_report(proc, economy)
+    assert report["error"] == "InvalidEconomySpecError"
+    assert report["field"] == field
+    assert "must lie within 1e-60..1e60" in report["message"]
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("field, mangle", [
     ("items", lambda d: d.update(items={"food": {}})),
     ("items[0]", lambda d: d["items"].__setitem__(0, "food")),
     ("items[0].id", lambda d: d["items"][0].update(id=None)),

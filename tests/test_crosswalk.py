@@ -278,6 +278,49 @@ def test_parse_rejects_non_list_sections(text, code):
     assert [f.code for f in exc.value.findings] == [code]
 
 
+@pytest.mark.parametrize(
+    "text, field, code",
+    [
+        ("rules:\n  - {target: [a, b], kind: direct, source: x}\n", "rules[0].target", cw.BAD_RULE),
+        ("rules:\n  - {target: a, kind: direct, source: x}\n"
+         "  - {target: b, kind: direct, source: {x: 1}}\n", "rules[1].source", cw.BAD_RULE),
+        ("rules:\n  - {target: a, kind: aggregate, sources: [x, [y]]}\n", "rules[0].sources[1]",
+         cw.BAD_RULE),
+        ("rules: []\nreassignments:\n  - {source: x, from: [a], to: b}\n",
+         "reassignments[0].from", cw.BAD_REASSIGNMENT),
+        ("version: {major: 1}\nrules: []\n", "version", cw.BAD_RULE),
+    ],
+    ids=["target-list", "source-mapping", "sources-entry", "reassignment-from", "version"],
+)
+def test_parse_names_a_collection_where_a_value_belongs(text, field, code):
+    # these were str()-coerced: the target ['a', 'b'], the category {'x': 1}
+    with pytest.raises(SpecInvalidError) as exc:
+        cw.parse_spec(text)
+    assert exc.value.field == field
+    assert [(f.code, f.subject) for f in exc.value.findings] == [(code, field)]
+
+
+def test_parse_keeps_the_text_of_scalars():
+    spec = cw.parse_spec("version: 2\nrules:\n  - {target: 5, kind: direct, source: 2020-01-01}\n")
+    assert (spec.version, spec.rules[0].target, spec.rules[0].sources) == (
+        "2", "5", ("2020-01-01",)
+    )
+
+
+def test_validate_reports_the_field_of_a_collection(example_dir, tmp_path, capsys):
+    bad = tmp_path / "crosswalk.yaml"
+    bad.write_text("rules:\n  - {target: [a, b], kind: direct, source: x}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--manifest", str(example_dir / "manifest.json"),
+                  "--crosswalk", str(bad)])
+    assert exc.value.code == 2
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (report["error"], report["field"], report["path"]) == (
+        "SpecInvalidError", "rules[0].target", str(bad)
+    )
+    assert "internal" not in report
+
+
 # The pure-Python loader, and libyaml's when PyYAML was built with it.
 YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 from decimal import Decimal as D
 from fractions import Fraction
 
@@ -333,6 +334,29 @@ def test_size_caps_admit_their_limits():
     ledger = synth.generate(economy).expenditures_csv.splitlines()
     assert len(ledger) == 1 + synth.MAX_MONTHS
     assert ledger[-1].startswith("9999-12-")
+
+
+def test_magnitude_bounds_admit_their_limits():
+    import dataclasses
+
+    big, small = D(10) ** synth.MAGNITUDE, D(10) ** -synth.MAGNITUDE
+    steps = 12
+    drift = D(10) ** (D(synth.MAGNITUDE) / steps)  # just under 1e60 once compounded
+    economy = dataclasses.replace(
+        flat_economy(n_items=2, months=steps + 1),
+        items=(synth.SyntheticItem("i0", big * D("0.999"), small),
+               synth.SyntheticItem("i1", small, D(1))),
+        base_drifts={"i0": 1 / drift, "i1": drift},
+    )
+    weights = synth.oracle_adjusted_weights(economy, economy.horizon()[-1])
+    assert all(math.isfinite(w) and w > 0 for w in weights.shares.values())
+    for bad in (
+        {"items": (synth.SyntheticItem("i0", big, D(1)),)},
+        {"items": (synth.SyntheticItem("i0", D(1), small / 10),)},
+        {"base_drifts": {"i0": drift * D("1.0001")}},
+    ):
+        with pytest.raises(InvalidEconomySpecError, match="must lie within"):
+            dataclasses.replace(economy, **bad).validate()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,7 +1,9 @@
-"""The streamed writers behind `basketflex run`: JSON chunks, CSV text, atomicity."""
+"""The one-pass result writer behind `basketflex run`: JSON and CSV text, atomicity."""
 
+import copy
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -15,34 +17,16 @@ from basketflex import analysis, cli
 from basketflex.periods import Month
 
 from conftest import run_cli
+from test_cli import GOLDEN_FLAGS, GOLDEN_SHA256
 
-CSV_OUTPUTS = {"inflation.csv", "weights.csv", "contributions.csv", "bias.csv"}
-
-# Keys and strings with JSON escapes, control characters and non-ASCII text.
-texts = st.text() | st.sampled_from(['', '"', "\\", "\n\t\x00", "café", "€\U0001f600"])
-scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats()
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
-    | texts
-)
-documents = st.recursive(
-    scalars,
-    lambda children: (
-        st.lists(children, max_size=5)
-        | st.lists(children, max_size=5).map(tuple)
-        | st.dictionaries(texts, children, max_size=5)
-    ),
-    max_leaves=40,
-)
+OUTPUTS = {analysis.RESULT_JSON, *analysis.CSV_FILES}
 
 
-@settings(max_examples=400, deadline=None)
-@given(documents)
-def test_json_chunks_match_indented_dumps(doc):
-    assert "".join(cli._json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+def _written(result, names) -> dict[str, str]:
+    """The text ``write_result`` writes for each of ``names``."""
+    chunks = {name: [] for name in names}
+    analysis.write_result(result, {name: chunks[name].append for name in names})
+    return {name: "".join(parts) for name, parts in chunks.items()}
 
 
 @pytest.mark.parametrize("variant", ["default", "fixed-weight", "fixed-base"])
@@ -52,8 +36,37 @@ def test_json_chunks_match_dumps_on_results(example_config, example_inputs, vari
         "fixed-weight": dataclasses.replace(example_config, fixed_weight_month=Month(2020, 4)),
         "fixed-base": dataclasses.replace(example_config, annual_method="fixed_base"),
     }[variant]
-    doc = analysis.result_to_dict(analysis.run_scenario(config, *example_inputs))
-    assert "".join(cli._json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+    result = analysis.run_scenario(config, *example_inputs)
+    want = json.dumps(analysis.result_to_dict(result), indent=2, sort_keys=True) + "\n"
+    assert _written(result, [analysis.RESULT_JSON]) == {analysis.RESULT_JSON: want}
+    assert _written(result, OUTPUTS)[analysis.RESULT_JSON] == want
+
+
+def test_result_without_points(dynamic_result):
+    # empty lists, which json.dumps writes as "[]"
+    empty = dataclasses.replace(dynamic_result, **{
+        field.name: () for field in dataclasses.fields(dynamic_result) if field.name != "config"
+    })
+    assert _written(empty, OUTPUTS) == {
+        analysis.RESULT_JSON: json.dumps(analysis.result_to_dict(empty), indent=2,
+                                         sort_keys=True) + "\n",
+        **analysis.CSV_FILES,
+    }
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_FLAGS))
+def test_each_format_writes_the_same_bytes(example_dir, tmp_path, capsys, variant):
+    hashes = {}
+    for formats in ("json", "csv", "csv,json"):
+        out = tmp_path / formats
+        cli.dispatch(["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out),
+                      "--format", formats, *GOLDEN_FLAGS[variant]])
+        hashes[formats] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in out.iterdir()}
+    capsys.readouterr()
+    assert hashes["csv,json"] == GOLDEN_SHA256[variant]
+    assert hashes["json"] == {analysis.RESULT_JSON: GOLDEN_SHA256[variant][analysis.RESULT_JSON]}
+    assert hashes["csv"] == {name: GOLDEN_SHA256[variant][name] for name in analysis.CSV_FILES}
 
 
 # --- the tidy CSV writers -------------------------------------------------------
@@ -106,12 +119,17 @@ WRITERS = {
     analysis.contribution_rows: _reference_contribution_rows,
     analysis.bias_rows: _reference_bias_rows,
 }
+CSV_VIEWS = dict(zip(analysis.CSV_FILES, WRITERS))
 
 # Item ids the csv module must quote, or must not, and arbitrary text.
 item_ids = st.text(min_size=1) | st.sampled_from(
     ["a,b", '"', 'say "hi", ok', "x\ry", "x\ny", "\r\n", "café", "€\U0001f600", " pad "]
 )
-rates = st.none() | st.floats() | st.sampled_from([math.nan, math.inf, -0.0, 1e-300])
+rates = (
+    st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e-300, 5e-324, 1.7976931348623157e308])
+)
 
 
 def _relabelled(result, names, draw_rate, blank):
@@ -133,8 +151,10 @@ def _relabelled(result, names, draw_rate, blank):
             },
         )
 
-    def bias(b):
-        return dataclasses.replace(b, monthly_pp=draw_rate(), annual_pp=draw_rate())
+    def bias(b):  # a drawn None keeps the monthly gap, which is never missing
+        monthly = draw_rate()
+        return dataclasses.replace(b, monthly_pp=b.monthly_pp if monthly is None else monthly,
+                                   annual_pp=draw_rate())
 
     fields = {
         "official_weights": vector, "adjusted_weights": vector,
@@ -164,51 +184,160 @@ def writer_results(example_config, example_inputs):
     return results
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-@pytest.mark.parametrize("variant", ["default", "fixed-weight", "fixed-base"])
-def test_writers_match_csv_writer_on_any_item_ids(writer_results, variant, data):
-    result = writer_results[variant]
+def _drawn_relabelling(data, result):
     items = sorted(result.official_weights[0].shares)
     labels = data.draw(st.lists(item_ids, min_size=len(items), max_size=len(items), unique=True))
     rate_stream = itertools.cycle(data.draw(st.lists(rates, min_size=1, max_size=50)))
     blank = data.draw(st.sets(st.sampled_from(result.periods), max_size=3))
-    relabelled = _relabelled(
-        result, dict(zip(items, labels)), lambda: next(rate_stream), blank
-    )
+    return _relabelled(result, dict(zip(items, labels)), lambda: next(rate_stream), blank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("variant", ["default", "fixed-weight", "fixed-base"])
+def test_writers_match_csv_writer_on_any_item_ids(writer_results, variant, data):
+    relabelled = _drawn_relabelling(data, writer_results[variant])
+    want = {analysis.RESULT_JSON: json.dumps(analysis.result_to_dict(relabelled), indent=2,
+                                             sort_keys=True) + "\n"}
     for writer, reference in WRITERS.items():
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(reference(relabelled))
+        want[writer.__name__] = buf.getvalue()
         assert "".join(writer(relabelled)) == buf.getvalue(), writer.__name__
+    # all five files from one pass, as run writes them
+    got = _written(relabelled, OUTPUTS)
+    assert got == {analysis.RESULT_JSON: want[analysis.RESULT_JSON],
+                   **{name: want[view.__name__] for name, view in CSV_VIEWS.items()}}
 
 
-def _failing_rows(result):
-    yield "period,series,item,contribution_pp\n"
-    yield "2020-02,official,food,0.1\n"
-    raise RuntimeError("row generator failed")
+# --- non-finite numbers -----------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_writers_refuse_non_finite_draws(writer_results, data, bad):
+    result = writer_results["default"]
+    draws = data.draw(st.lists(rates, min_size=1, max_size=20))
+    draws.insert(data.draw(st.integers(0, len(draws))), bad)
+    # fewer draws than rates to fill, so every draw lands in the JSON and a CSV file
+    rate_stream = itertools.cycle(draws)
+    relabelled = _relabelled(result, {i: i for i in result.official_weights[0].shares},
+                             lambda: next(rate_stream), set())
+    for names in ([analysis.RESULT_JSON], OUTPUTS):
+        with pytest.raises(ValueError, match="non-finite"):
+            _written(relabelled, names)
+
+
+def _at(seq, i, **changes):
+    """``seq`` with ``changes`` made to a copy of its ``i``-th point, which is
+    not checked again (a non-finite contribution breaks the contribution sum)."""
+    point = copy.copy(seq[i])
+    for name, value in changes.items():
+        object.__setattr__(point, name, value)
+    return (*seq[:i], point, *seq[i + 1:])
+
+
+def _doctored(result, place, x):
+    item = sorted(result.official_weights[0].shares)[2]
+    if place == "contribution":
+        contributions = {**result.official[3].contributions, item: x}
+        return dataclasses.replace(result, official=_at(result.official, 3,
+                                                        contributions=contributions))
+    if place == "monthly_pct":
+        return dataclasses.replace(result, core_adjusted=_at(result.core_adjusted, 4,
+                                                              monthly_pct=x))
+    if place == "annual_pct":
+        return dataclasses.replace(result, adjusted=_at(result.adjusted, 13, annual_pct=x))
+    if place == "share":
+        shares = {**result.adjusted_weights[5].shares, item: x}
+        return dataclasses.replace(result, adjusted_weights=_at(result.adjusted_weights, 5,
+                                                                shares=shares))
+    if place == "raw_sum":
+        return dataclasses.replace(result, official_weights=_at(result.official_weights, 7,
+                                                                raw_sum=x))
+    return dataclasses.replace(result, core_bias=_at(result.core_bias, 12, annual_pp=x))
+
+
+# Each place a number is published, and the files other than the JSON that publish it.
+PUBLISHED_IN = {
+    "contribution": {"contributions.csv"},
+    "monthly_pct": {"inflation.csv"},
+    "annual_pct": {"inflation.csv"},
+    "share": {"weights.csv"},
+    "raw_sum": set(),
+    "bias": {"bias.csv"},
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("place", list(PUBLISHED_IN))
+def test_writers_refuse_non_finite_numbers(dynamic_result, place, x):
+    result = _doctored(dynamic_result, place, x)
+    for name in OUTPUTS:
+        if name in PUBLISHED_IN[place] | {analysis.RESULT_JSON}:
+            with pytest.raises(ValueError, match="non-finite"):
+                _written(result, [name])
+        else:
+            _written(result, [name])
+    with pytest.raises(ValueError, match="non-finite"):
+        _written(result, OUTPUTS)
+
+
+def _previous_outputs(out):
+    out.mkdir()
+    for name in OUTPUTS:
+        (out / name).write_text(f"previous {name}\n")
+
+
+def _assert_untouched(out):
+    assert {p.name: p.read_text() for p in out.iterdir()} == {
+        name: f"previous {name}\n" for name in OUTPUTS
+    }
+
+
+@pytest.mark.parametrize("place,x", [("contribution", math.nan), ("annual_pct", math.inf)])
+def test_run_refuses_a_non_finite_result(example_dir, tmp_path, monkeypatch, capsys, place, x):
+    price = analysis._price_scenario
+    monkeypatch.setattr(analysis, "_price_scenario",
+                        lambda *args: _doctored(price(*args), place, x))
+    out = tmp_path / "out"
+    _previous_outputs(out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out)])
+    assert exc.value.code == 3
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["internal"] is True and "non-finite" in report["message"]
+    _assert_untouched(out)
+
+
+# --- a failure midway leaves every output as it was --------------------------------
+
+
+def _fail_on_call(monkeypatch, name, n, message):
+    """Make ``analysis.<name>`` raise on its ``n``-th call."""
+    real, calls = getattr(analysis, name), itertools.count(1)
+
+    def failing(*args):
+        if next(calls) == n:
+            raise RuntimeError(message)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, name, failing)
 
 
 def test_failing_row_generator_leaves_no_file(example_dir, tmp_path, monkeypatch):
+    # the 30th block of CSV lines: weights.csv and contributions.csv are part written
+    _fail_on_call(monkeypatch, "_csv_lines", 30, "row generator failed")
     out = tmp_path / "out"
-    out.mkdir()
-    (out / "contributions.csv").write_text("previous\n")
-    monkeypatch.setattr(analysis, "contribution_rows", _failing_rows)
+    _previous_outputs(out)
     with pytest.raises(RuntimeError, match="row generator failed"):
         cli.dispatch(["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out)])
-    names = {p.name for p in out.iterdir()}
-    assert not any(name.startswith(".tmp-") for name in names)
-    # files before the failing one are complete; the failing one is untouched
-    assert names == {"scenario_result.json", "inflation.csv", "weights.csv", "contributions.csv"}
-    assert (out / "contributions.csv").read_text() == "previous\n"
+    _assert_untouched(out)
 
 
 def test_failing_json_writer_leaves_no_file(example_dir, tmp_path, monkeypatch):
-    def failing_chunks(doc):
-        yield "{"
-        raise RuntimeError("encoder failed")
-
+    _fail_on_call(monkeypatch, "_json_object", 20, "encoder failed")
     out = tmp_path / "out"
-    monkeypatch.setattr(cli, "_json_chunks", failing_chunks)
     with pytest.raises(RuntimeError, match="encoder failed"):
         cli.dispatch(["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out)])
     assert list(out.iterdir()) == []
@@ -256,4 +385,4 @@ def test_format_csv_writes_only_csv_files(example_dir, tmp_path):
         "--format", "csv",
     )
     assert proc.returncode == 0, proc.stderr
-    assert {p.name for p in out.iterdir()} == CSV_OUTPUTS
+    assert {p.name for p in out.iterdir()} == set(analysis.CSV_FILES)
