@@ -23,11 +23,10 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import analysis, core, crosswalk, ingest
 from .analysis import RESULT_JSON, ScenarioConfig
@@ -128,46 +127,112 @@ def _parse_date(text: str) -> dt.date:
         raise BasketflexError(f"bad date {text!r}; expected YYYY-MM-DD")
 
 
-def _parse_lockdowns(value) -> tuple[tuple[dt.date, dt.date], ...]:
-    """Accept 'start:end,start:end' strings or [[start, end], ...] lists."""
-    if isinstance(value, str):
-        value = [chunk.split(":") for chunk in value.split(",") if chunk.strip()]
-    windows = []
-    for pair in value or ():
-        if len(pair) != 2:
-            raise BasketflexError(
-                f"bad lockdown window {':'.join(pair)!r}; expected START:END dates"
-            )
-        windows.append((_parse_date(pair[0]), _parse_date(pair[1])))
-    return tuple(windows)
+def _window(pair) -> tuple[dt.date, dt.date]:
+    if isinstance(pair, str):  # one START:END of the flag's form
+        pair = pair.split(":")
+    if len(pair) != 2:
+        raise BasketflexError(f"bad lockdown window {':'.join(pair)!r}; expected START:END dates")
+    return _parse_date(pair[0]), _parse_date(pair[1])
 
 
-_INPUTS = ("weights", "prices", "expenditures", "crosswalk")
+def _each(read, values):
+    """``read`` each of ``values``; an error names the value's index in ``field``."""
+    for k, value in enumerate(values):
+        try:
+            yield read(value)
+        except BasketflexError as exc:
+            exc.field = f"[{k}]"
+            raise
 
 
-@dataclass
-class RunManifest:
-    """Resolved inputs for one scenario run, as ``_manifest_from`` builds them.
+def _comma_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
 
-    ``config`` builds the scenario configuration when called, so that
-    ``check`` reports missing input files before a ``ConfigError``.
+
+class _Kind(NamedTuple):
+    shape: object  # the JSON shape of a manifest value, as errors.check_shape reads it
+    argparse: dict  # the arguments of its flag that turn flag text into such a value
+    read: Callable  # read(value, root): the value a run uses; paths resolve against root
+
+
+_PATH = _Kind(STRING, {}, lambda value, root: root / value)
+_COMMA_LIST = _Kind(STRINGS, {"type": _comma_list}, lambda value, root: frozenset(value))
+_MONTHS = _Kind(STRINGS, {"type": _comma_list},
+                lambda value, root: tuple(_each(_parse_month, value)))
+_MONTH = _Kind(STRING, {}, lambda value, root: _parse_month(value) if value else None)
+_DATE_PAIRS = _Kind(
+    ("a list of [start, end] date pairs",
+     lambda v: isinstance(v, str) or (isinstance(v, list) and all(
+         isinstance(w, list) and len(w) == 2 and all(isinstance(d, str) for d in w) for w in v
+     ))),
+    {},  # 'start:end,start:end' is the flag's form; a manifest may use it too
+    lambda value, root: tuple(_each(_window, _comma_list(value) if isinstance(value, str)
+                                    else value)),
+)
+_BOOL = _Kind(BOOL, {"action": "store_true"}, lambda value, root: value)
+_TEXT = _Kind(STRING, {}, lambda value, root: value)
+
+
+class _Field(NamedTuple):
+    key: str  # in the manifest
+    flag: str
+    kind: _Kind
+    to: str  # "input" (a file), "option" (of the run) or the ScenarioConfig argument
+    help: str
+    default: object = None  # in manifest form, when neither flag nor manifest gives one
+    argparse: dict = {}  # more arguments of its flag
+
+
+# run's flags in this order; validate takes the first six
+_FIELDS = (
+    _Field("weights", "--weights", _PATH, "input", "weights.csv path."),
+    _Field("prices", "--prices", _PATH, "input", "prices.csv path."),
+    _Field("expenditures", "--expenditures", _PATH, "input",
+           "expenditures.csv path (daily records)."),
+    _Field("crosswalk", "--crosswalk", _PATH, "input", "Crosswalk spec YAML path."),
+    _Field("base_months", "--base-months", _MONTHS, "base_months",
+           "Comma-separated base months, e.g. 2020-01,2020-02.", default=[]),
+    _Field("allow_negative_amounts", "--allow-negative-amounts", _BOOL, "option",
+           "Accept negative daily amounts (refunds/chargebacks).", default=False),
+    _Field("core_exclude", "--core-exclude", _COMMA_LIST, "core_exclusions",
+           "Comma-separated items excluded from the core index."),
+    _Field("fixed_weight_month", "--fixed-weight-month", _MONTH, "fixed_weight_month",
+           "Freeze adjusted weights at this month (robustness variant)."),
+    _Field("lockdowns", "--lockdowns", _DATE_PAIRS, "lockdown_windows",
+           "Lockdown windows as START:END dates, comma separated (annotation only)."),
+    _Field("country_label", "--country", _TEXT, "country_label",
+           "Label used in comparisons and outputs.", argparse={"metavar": "COUNTRY"}),
+    _Field("annual_method", "--annual-method", _TEXT, "annual_method",
+           "How 12-month rates are built (default: chained).",
+           argparse={"choices": analysis.ANNUAL_METHODS}),
+    _Field("per_day_base", "--per-day-base", _BOOL, "per_day_base",
+           "Normalize month totals by day count before ratios."),
+    _Field("out", "--out", _PATH, "option", "Output directory."),
+    _Field("formats", "--format", _COMMA_LIST, "option",
+           "Comma-separated outputs to write: csv, json (default both).",
+           default=["csv", "json"]),
+)
+
+# JSON shape of a manifest; null counts as absent.
+_MANIFEST_SHAPE = {f"{f.key}?": f.kind.shape for f in _FIELDS}
+
+
+class RunManifest(SimpleNamespace):
+    """One scenario run as ``_manifest_from`` reads it.
+
+    ``inputs`` maps each input file's field to its path (None when none is
+    given) and each run option is an attribute. ``config`` builds the
+    scenario configuration when called, so that ``check`` reports missing
+    input files before a ``ConfigError``.
     """
 
-    weights: Path | None
-    prices: Path | None
-    expenditures: Path | None
-    crosswalk: Path | None
-    out: Path
-    config: Callable[[], ScenarioConfig]
-    allow_negative_amounts: bool = False
-    formats: tuple[str, ...] = ("csv", "json")
-
     def check(self, for_run: bool = True) -> None:
-        for name in _INPUTS:
-            p = getattr(self, name)
+        if for_run and self.out is None:
+            raise BasketflexError("no output directory given (flag or manifest)")
+        for name, p in self.inputs.items():
             if p is None:
                 raise BasketflexError(f"no {name} file given (flag or manifest)")
-            if not Path(p).is_file():
+            if not p.is_file():
                 raise BasketflexError(f"{name} file not found: {p}")
         self.config()  # ConfigError here, before any input file is read
         if not for_run:
@@ -184,26 +249,6 @@ class RunManifest:
             probe.unlink()
         except OSError as exc:
             raise BasketflexError(f"output directory not writable: {self.out} ({exc})")
-
-
-# JSON shape of a manifest, in the form ``errors.check_shape`` reads; null
-# counts as absent.
-_MANIFEST_SHAPE = {
-    **dict.fromkeys(
-        ("weights?", "prices?", "expenditures?", "crosswalk?", "out?",
-         "fixed_weight_month?", "country_label?", "annual_method?"),
-        STRING,
-    ),
-    **dict.fromkeys(("base_months?", "core_exclude?", "formats?"), STRINGS),
-    **dict.fromkeys(("per_day_base?", "allow_negative_amounts?"), BOOL),
-    "lockdowns?": (
-        "a list of [start, end] date pairs",
-        lambda v: isinstance(v, str) or (isinstance(v, list) and all(
-            isinstance(w, list) and len(w) == 2 and all(isinstance(d, str) for d in w)
-            for w in v
-        )),
-    ),
-}
 
 
 def _read_json(path: Path):
@@ -232,62 +277,50 @@ def _read_result(path: Path) -> analysis.ScenarioResult:
 
 
 def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
-    """Read the manifest file, if any, with the flags folded in as manifest values.
+    """Read each field of ``_FIELDS`` from its flag, else from the manifest file, if any.
 
-    An explicit flag wins even when empty. Comma-separated flags become
-    lists and ``--country`` is ``country_label``. In the file, relative paths
-    resolve against its directory, an empty ``out`` is that directory, an
-    empty input path gives no file and an empty ``fixed_weight_month``
-    freezes nothing.
+    An explicit flag wins even when empty, but an empty path or month flag is
+    an error. Relative paths in the file resolve against its directory, an
+    empty input path gives no file and an empty month none. A bad value names
+    its field, and the manifest if it came from there.
     """
     doc: dict = {}
+    root = Path()
     if manifest_path is not None:
         doc = _load(_read_manifest, manifest_path)
         root = manifest_path.resolve().parent
-        for key in _INPUTS:
-            if doc.get(key):
-                doc[key] = root / doc[key]
-        if "out" in doc:
-            doc["out"] = root / doc["out"]
-        if doc.get("fixed_weight_month") == "":
-            del doc["fixed_weight_month"]
-    for key, value in flags.items():
-        if value is None or value is False:
-            continue
-        if key in ("base_months", "core_exclude", "formats"):
-            value = [part.strip() for part in value.split(",") if part.strip()]
-        doc["country_label" if key == "country" else key] = value
-    if doc.get("out") == "":
-        raise BasketflexError("--out is empty")
-    if "out" not in doc:
-        raise BasketflexError("no output directory given (flag or manifest)")
-    fixed = doc.get("fixed_weight_month")
-    return RunManifest(
-        **{key: Path(doc[key]) if doc.get(key) else None for key in _INPUTS},
-        out=Path(doc["out"]),
-        config=partial(
-            ScenarioConfig,
-            base_months=tuple(map(_parse_month, doc.get("base_months", ()))),
-            core_exclusions=frozenset(doc.get("core_exclude", ())),
-            fixed_weight_month=None if fixed is None else _parse_month(fixed),
-            lockdown_windows=_parse_lockdowns(doc.get("lockdowns", ())),
-            country_label=doc.get("country_label", ""),
-            annual_method=doc.get("annual_method", "chained"),
-            per_day_base=doc.get("per_day_base", False),
-        ),
-        allow_negative_amounts=doc.get("allow_negative_amounts", False),
-        formats=tuple(doc.get("formats", ("csv", "json"))),
-    )
+    inputs: dict = {}
+    config: dict = {}
+    options: dict = {}
+    for f in _FIELDS:
+        flagged = flags.get(f.key) not in (None, False)  # argparse's values for no flag
+        raw = flags[f.key] if flagged else doc.get(f.key, f.default)
+        if flagged and raw == "" and f.kind in (_PATH, _MONTH):
+            raise BasketflexError(f"{f.flag} is empty")
+        try:
+            value = None if raw is None else f.kind.read(raw, Path() if flagged else root)
+        except BasketflexError as exc:
+            exc.field = f.key + (getattr(exc, "field", None) or "")
+            if not flagged:
+                exc.path = str(manifest_path)
+            raise
+        if f.to == "input":
+            inputs[f.key] = value if raw else None
+        elif f.to == "option":
+            options[f.key] = value
+        elif value is not None:
+            config[f.to] = value
+    return RunManifest(inputs=inputs, config=partial(ScenarioConfig, **config), **options)
 
 
 def _load_inputs(m: RunManifest):
-    weights = _load(ingest.load_weights, m.weights)
-    prices = _load(ingest.load_prices, m.prices)
+    weights = _load(ingest.load_weights, m.inputs["weights"])
+    prices = _load(ingest.load_prices, m.inputs["prices"])
     panel = _load(
         lambda p: ingest.read_expenditure_panel(p, allow_negative=m.allow_negative_amounts),
-        m.expenditures,
+        m.inputs["expenditures"],
     )
-    spec = _load(crosswalk.load_spec, m.crosswalk)
+    spec = _load(crosswalk.load_spec, m.inputs["crosswalk"])
     return weights, prices, panel, spec
 
 
@@ -317,35 +350,15 @@ def _command(name: str, *options):
     return register
 
 
-_SHARED_RUN_OPTIONS = (
-    _option("--manifest", type=_input_file,
-            help="JSON manifest carrying any of the other options."),
-    _option("--weights", help="weights.csv path."),
-    _option("--prices", help="prices.csv path."),
-    _option("--expenditures", help="expenditures.csv path (daily records)."),
-    _option("--crosswalk", help="Crosswalk spec YAML path."),
-    _option("--base-months", help="Comma-separated base months, e.g. 2020-01,2020-02."),
-    _option("--allow-negative-amounts", action="store_true",
-            help="Accept negative daily amounts (refunds/chargebacks)."),
-)
+_MANIFEST_OPTION = _option("--manifest", type=_input_file,
+                           help="JSON manifest carrying any of the other options.")
 
 
-@_command(
-    "run", *_SHARED_RUN_OPTIONS,
-    _option("--core-exclude", help="Comma-separated items excluded from the core index."),
-    _option("--fixed-weight-month",
-            help="Freeze adjusted weights at this month (robustness variant)."),
-    _option("--lockdowns",
-            help="Lockdown windows as START:END dates, comma separated (annotation only)."),
-    _option("--country", help="Label used in comparisons and outputs."),
-    _option("--annual-method", choices=analysis.ANNUAL_METHODS,
-            help="How 12-month rates are built (default: chained)."),
-    _option("--per-day-base", action="store_true",
-            help="Normalize month totals by day count before ratios."),
-    _option("--out", help="Output directory."),
-    _option("--format", dest="formats",
-            help="Comma-separated outputs to write: csv, json (default both)."),
-)
+def _flag(f: _Field):
+    return _option(f.flag, dest=f.key, help=f.help, **f.kind.argparse, **f.argparse)
+
+
+@_command("run", _MANIFEST_OPTION, *map(_flag, _FIELDS))
 def cmd_run(manifest, **flags) -> None:
     """Run a scenario and write result files into --out."""
     m = _manifest_from(manifest, **flags)
@@ -369,11 +382,10 @@ def cmd_run(manifest, **flags) -> None:
         print(f"wrote {m.out / name}")
 
 
-@_command("validate", *_SHARED_RUN_OPTIONS)
+@_command("validate", _MANIFEST_OPTION, *map(_flag, _FIELDS[:6]))
 def cmd_validate(manifest, **flags) -> None:
     """Check inputs and crosswalk coverage without running anything."""
-    # --out is not used; it satisfies the manifest builder
-    m = _manifest_from(manifest, out=".", **flags)
+    m = _manifest_from(manifest, **flags)
     m.check(for_run=False)
     config = m.config()
     weights, prices, panel, spec = _load_inputs(m)
@@ -407,8 +419,7 @@ def cmd_generate(economy, out) -> None:
     """Generate synthetic weights/prices/expenditures CSV files."""
     from . import synth  # the only command that needs it
 
-    spec = _load(synth.load_economy, economy)
-    files = synth.generate(spec)
+    files = _load(lambda path: synth.generate(synth.load_economy(path)), economy)
     outdir = Path(out)
     for name, content in (
         ("weights.csv", files.weights_csv),

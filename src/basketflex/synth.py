@@ -26,6 +26,7 @@ from typing import Mapping
 
 from .core import WeightVector, normalize_weights
 from .errors import STRING, InvalidEconomySpecError, MonthOutOfRangeError, check_shape, parses
+from .ingest import AMOUNT_LIMIT
 from .periods import Month, month_range
 
 _PREC = 50
@@ -284,7 +285,9 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
     expenditures spread each category's monthly figure across a few random
     days, with the split chosen so the records sum back exactly. Records
     are drawn item by item into per-day buckets, each written sorted by
-    category (unique within a day, as a category has one item).
+    category (unique within a day, as a category has one item). A daily
+    amount that ``ingest`` refuses, one not inside ``±AMOUNT_LIMIT``, raises
+    ``InvalidEconomySpecError`` naming the item in ``field``.
     """
     factors: dict[str, list[Decimal]] = {}
     spend = monthly_spend(spec, factors)  # validates the spec
@@ -309,12 +312,14 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
     cap = spec.max_records_per_month
     with localcontext() as ctx:
         ctx.prec = _PREC
-        for it in spec.items:
+        for index, it in enumerate(spec.items):
             cats = it.category_shares()
             shares = [s for _, s in cats]
             path = spend[it.id]
             for m, buckets in months:
                 n = len(buckets)
+                # every daily part is less than a cent above its month's spend
+                near_limit = path[m] > AMOUNT_LIMIT - _CENT
                 for (cat, _), part in zip(cats, _split_exact(path[m], shares)):
                     k = rng.randint(1, min(cap, n))
                     if part < 1:  # too small to split into cent-quantized pieces
@@ -323,6 +328,13 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
                     cuts = [rng.randint(1, 1000) for _ in range(k)]
                     total_cut = Decimal(sum(cuts))
                     day_parts = _split_exact(part, [Decimal(c) / total_cut for c in cuts])
+                    if near_limit and max(day_parts) >= AMOUNT_LIMIT:
+                        exc = InvalidEconomySpecError(
+                            f"field 'items[{index}]' spends {max(day_parts)} on one day of {m} "
+                            f"in {cat!r}; a ledger amount must lie inside ±{AMOUNT_LIMIT}"
+                        )
+                        exc.field, exc.month = f"items[{index}]", m
+                        raise exc
                     for day, amount in zip(days, day_parts):
                         buckets[day - 1].append((cat, amount))
     ledger = ["date,category,amount\n"]

@@ -1034,3 +1034,165 @@ def test_misshapen_documents_raise_only_input_errors(example_dir, example_result
     manifest.write_text(json.dumps(draw((example_dir / "manifest.json").read_text())))
     with contextlib.suppress(BasketflexError):
         cli._manifest_from(manifest).config()
+
+
+# `basketflex run --help` and `validate --help` at 80 columns: option names,
+# order, metavars and help text, all built from the manifest's field table.
+RUN_HELP = """\
+Usage: basketflex run [--help] [--manifest MANIFEST] [--weights WEIGHTS]
+                      [--prices PRICES] [--expenditures EXPENDITURES]
+                      [--crosswalk CROSSWALK] [--base-months BASE_MONTHS]
+                      [--allow-negative-amounts] [--core-exclude CORE_EXCLUDE]
+                      [--fixed-weight-month FIXED_WEIGHT_MONTH]
+                      [--lockdowns LOCKDOWNS] [--country COUNTRY]
+                      [--annual-method {chained,fixed_base}] [--per-day-base]
+                      [--out OUT] [--format FORMATS]
+
+Run a scenario and write result files into --out.
+
+options:
+  --help                Show this message and exit.
+  --manifest MANIFEST   JSON manifest carrying any of the other options.
+  --weights WEIGHTS     weights.csv path.
+  --prices PRICES       prices.csv path.
+  --expenditures EXPENDITURES
+                        expenditures.csv path (daily records).
+  --crosswalk CROSSWALK
+                        Crosswalk spec YAML path.
+  --base-months BASE_MONTHS
+                        Comma-separated base months, e.g. 2020-01,2020-02.
+  --allow-negative-amounts
+                        Accept negative daily amounts (refunds/chargebacks).
+  --core-exclude CORE_EXCLUDE
+                        Comma-separated items excluded from the core index.
+  --fixed-weight-month FIXED_WEIGHT_MONTH
+                        Freeze adjusted weights at this month (robustness
+                        variant).
+  --lockdowns LOCKDOWNS
+                        Lockdown windows as START:END dates, comma separated
+                        (annotation only).
+  --country COUNTRY     Label used in comparisons and outputs.
+  --annual-method {chained,fixed_base}
+                        How 12-month rates are built (default: chained).
+  --per-day-base        Normalize month totals by day count before ratios.
+  --out OUT             Output directory.
+  --format FORMATS      Comma-separated outputs to write: csv, json (default
+                        both).
+"""
+VALIDATE_HELP = """\
+Usage: basketflex validate [--help] [--manifest MANIFEST] [--weights WEIGHTS]
+                           [--prices PRICES] [--expenditures EXPENDITURES]
+                           [--crosswalk CROSSWALK] [--base-months BASE_MONTHS]
+                           [--allow-negative-amounts]
+
+Check inputs and crosswalk coverage without running anything.
+
+options:
+  --help                Show this message and exit.
+  --manifest MANIFEST   JSON manifest carrying any of the other options.
+  --weights WEIGHTS     weights.csv path.
+  --prices PRICES       prices.csv path.
+  --expenditures EXPENDITURES
+                        expenditures.csv path (daily records).
+  --crosswalk CROSSWALK
+                        Crosswalk spec YAML path.
+  --base-months BASE_MONTHS
+                        Comma-separated base months, e.g. 2020-01,2020-02.
+  --allow-negative-amounts
+                        Accept negative daily amounts (refunds/chargebacks).
+"""
+
+
+@pytest.mark.parametrize("command, text", [("run", RUN_HELP), ("validate", VALIDATE_HELP)])
+def test_help_text_is_unchanged(command, text):
+    proc = run_cli(command, "--help", env={"COLUMNS": "80"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == text
+
+
+@pytest.mark.parametrize("field, changes, flag, message", [
+    ("base_months[1]", {"base_months": ["2020-01", "2020-13"]},
+     ("--base-months", "2020-01,2020-13"), "month number out of range 1..12: 13"),
+    ("fixed_weight_month", {"fixed_weight_month": "2020-4"},
+     ("--fixed-weight-month", "2020-4"), "expected a month as YYYY-MM, got '2020-4'"),
+    ("lockdowns[1]", {"lockdowns": [["2020-03-01", "2020-05-31"], ["2020-09-01", "2020-13-31"]]},
+     ("--lockdowns", "2020-03-01:2020-05-31,2020-09-01:2020-13-31"),
+     "bad date '2020-13-31'; expected YYYY-MM-DD"),
+], ids=["base-months", "fixed-weight-month", "lockdowns"])
+@pytest.mark.parametrize("source", ["manifest", "flag"])
+def test_bad_field_value_names_its_field(example_dir, tmp_path, source, field, changes, flag,
+                                         message):
+    manifest = _manifest_file(example_dir, tmp_path, **(changes if source == "manifest" else {}))
+    out = tmp_path / "out"
+    proc = run_cli("run", "--manifest", manifest, "--out", str(out),
+                   *(flag if source == "flag" else ()))
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert (report["error"], report["message"], report["field"]) == (
+        "BasketflexError", message, field)
+    assert report.get("path") == (manifest if source == "manifest" else None)
+    assert not out.exists()
+
+
+def test_generate_refuses_a_ledger_that_run_refuses(example_dir, tmp_path):
+    # a base quantity of 1e20 lies inside the economy's 1e-60..1e60 bound, but
+    # its daily amounts do not lie inside ingest's ±1e15
+    doc = json.loads((example_dir / "economy.json").read_text())
+    doc["items"][0]["base_quantity"] = "1e20"
+    economy = tmp_path / "economy.json"
+    economy.write_text(json.dumps(doc))
+    proc = run_cli("generate", "--economy", str(economy), "--out", str(tmp_path / "gen"))
+    report = _input_error_report(proc, economy)
+    assert report["error"] == "InvalidEconomySpecError"
+    assert (report["field"], report["month"]) == ("items[0]", "2020-01")
+    assert "inside ±1E+15" in report["message"]
+    assert not (tmp_path / "gen").exists()
+
+
+# A value of each field of the manifest, and the same value as flag text;
+# "{root}" is the manifest's directory, against which its paths resolve.
+FIELD_SAMPLES = {
+    "weights": ("w.csv", "{root}/w.csv"),
+    "prices": ("p.csv", "{root}/p.csv"),
+    "expenditures": ("e.csv", "{root}/e.csv"),
+    "crosswalk": ("../c.yaml", "{root}/../c.yaml"),
+    "base_months": (["2020-01", "2020-02"], "2020-01, 2020-02,"),
+    "allow_negative_amounts": (True, None),
+    "core_exclude": (["food", "energy"], "food,energy"),
+    "fixed_weight_month": ("2020-04", "2020-04"),
+    "lockdowns": ([["2020-03-01", "2020-05-31"], ["2020-09-01", "2020-10-31"]],
+                  "2020-03-01:2020-05-31,2020-09-01:2020-10-31"),
+    "country_label": ("israel", "israel"),
+    "annual_method": ("fixed_base", "fixed_base"),
+    "per_day_base": (True, None),
+    "out": ("results", "{root}/results"),
+    "formats": (["json"], "json"),
+}
+
+
+@pytest.mark.parametrize("field", cli._FIELDS, ids=lambda f: f.key)
+def test_each_field_reads_alike_from_its_flag_and_the_manifest(tmp_path, monkeypatch, field):
+    assert list(FIELD_SAMPLES) == [f.key for f in cli._FIELDS]
+    value, text = FIELD_SAMPLES[field.key]
+    root = tmp_path.resolve()
+    parsed = []
+    monkeypatch.setattr(cli.cmd_run, "callback", lambda **flags: parsed.append(flags))
+
+    def run_of(args, doc):
+        """What a run uses: its inputs, options and configuration."""
+        parsed.clear()
+        cli.dispatch(["run", *args])
+        (root / "manifest.json").write_text(json.dumps(doc))
+        m = cli._manifest_from(root / "manifest.json", **{**parsed[0], "manifest": None})
+        return m.inputs, {k: v for k, v in vars(m).items() if k not in ("inputs", "config")}, \
+            m.config()
+
+    # a base month, given the same way, so that every configuration can be built
+    base = {} if field.key == "base_months" else {"base_months": ["2019-12"]}
+    base_flags = () if field.key == "base_months" else ("--base-months", "2019-12")
+    flag_args = (field.flag,) if text is None else (field.flag, text.format(root=root))
+    from_flag = run_of((*base_flags, *flag_args), {})
+    from_manifest = run_of((), {**base, field.key: value})
+    assert from_flag == from_manifest
+    if field.key != "base_months":
+        assert from_flag != run_of(base_flags, {})  # the value is read, not defaulted
