@@ -43,6 +43,7 @@ from .core import (
 )
 from .errors import (
     BOOL,
+    MONTH,
     NUMBER,
     STRING,
     STRINGS,
@@ -379,29 +380,28 @@ _NUMBERS = (
     "an object of numbers",
     lambda v: isinstance(v, dict) and {*map(type, v.values())} <= {int, float},
 )
-_MONTH = ("a month as YYYY-MM", parses(Month.parse))
 _IS_DATE = parses(dt.date.fromisoformat)
 _DATE_PAIR = (
     "a [start, end] pair of dates",
     lambda v: isinstance(v, list) and len(v) == 2 and all(map(_IS_DATE, v)),
 )
-_POINT = {"period": _MONTH, "monthly_pct": NUMBER, "contributions?": _NUMBERS,
+_POINT = {"period": MONTH, "monthly_pct": NUMBER, "contributions?": _NUMBERS,
           "annual_pct?": _NUMBER_OR_NULL}
-_BIAS = {"period": _MONTH, "monthly_pp": NUMBER, "annual_pp?": _NUMBER_OR_NULL}
-_VECTOR = {"period": _MONTH, "shares": _NUMBERS, "raw_sum?": NUMBER}
+_BIAS = {"period": MONTH, "monthly_pp": NUMBER, "annual_pp?": _NUMBER_OR_NULL}
+_VECTOR = {"period": MONTH, "shares": _NUMBERS, "raw_sum?": NUMBER}
 _RESULT_SHAPE = {
     # first, so that a document of another schema is named as such
     "schema": (repr(RESULT_SCHEMA), lambda v: v == RESULT_SCHEMA),
     "country?": STRING,
     "config": {
-        "base_months": [_MONTH],
+        "base_months": [MONTH],
         "core_exclusions?": STRINGS,
-        "fixed_weight_month?": ("a month or null", lambda v: v is None or _MONTH[1](v)),
+        "fixed_weight_month?": ("a month or null", lambda v: v is None or MONTH[1](v)),
         "lockdown_windows?": [_DATE_PAIR],
         "annual_method?": STRING,
         "per_day_base?": BOOL,
     },
-    "periods": [_MONTH],
+    "periods": [MONTH],
     "weights": {"official": [_VECTOR], "adjusted": [_VECTOR]},
     "series": {name: [_POINT] for name in SERIES_NAMES},
     "bias": [_BIAS],

@@ -37,6 +37,7 @@ from .errors import (
     BasketflexError,
     ConfigError,
     FixedMonthOutOfRangeError,
+    SpecInvalidError,
     UsageError,
     check_shape,
 )
@@ -104,13 +105,20 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _load(loader, path: Path):
-    """Run a loader, tagging raised errors with the originating file."""
+@contextlib.contextmanager
+def _about(path: Path, errors: type = BasketflexError):
+    """Tag ``errors`` raised in the block with the file they concern."""
     try:
-        return loader(path)
-    except BasketflexError as exc:
+        yield
+    except errors as exc:
         exc.path = str(path)
         raise
+
+
+def _load(loader, path: Path):
+    """Run a loader, tagging raised errors with the originating file."""
+    with _about(path):
+        return loader(path)
 
 
 def _parse_month(text: str) -> Month:
@@ -366,7 +374,8 @@ def cmd_run(manifest, **flags) -> None:
     config = m.config()
     # the panel and spec are freed before pricing, the other inputs before writing
     weights, prices, panel, spec = _load_inputs(m)
-    relatives = analysis._expenditure_relatives(config, weights, panel, spec)
+    with _about(m.inputs["crosswalk"], SpecInvalidError):
+        relatives = analysis._expenditure_relatives(config, weights, panel, spec)
     del panel, spec
     result = analysis._price_scenario(config, weights, prices, relatives)
     del weights, prices, relatives
@@ -390,12 +399,11 @@ def cmd_validate(manifest, **flags) -> None:
     config = m.config()
     weights, prices, panel, spec = _load_inputs(m)
     findings = crosswalk.validate(spec, set(weights.shares), panel.categories)
+    for f in findings:
+        print(str(f))
     if findings:
-        for f in findings:
-            print(str(f))
-        print(json.dumps({"error": "SpecInvalidError",
-                          "findings": [str(f) for f in findings]}), file=sys.stderr)
-        raise SystemExit(2)
+        with _about(m.inputs["crosswalk"]):
+            raise SpecInvalidError(findings)
     # what run refuses of this configuration, without its relatives or pricing
     ingest.base_period(panel, config.base_months)
     core.exclude_items(weights, config.core_exclusions)
@@ -505,6 +513,8 @@ def _emit_error(exc: BaseException, internal: bool = False) -> None:
         value = getattr(exc, attr, None)
         if value is not None:
             report[attr] = str(value)
+    if getattr(exc, "findings", None):
+        report["findings"] = [str(f) for f in exc.findings]
     if internal:
         report["internal"] = True
     print(json.dumps(report, sort_keys=True), file=sys.stderr)

@@ -31,7 +31,7 @@ from decimal import Decimal, localcontext
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .core import ExpenditureRelativeVector, ItemId
-from .errors import SpecInvalidError, ZeroBaseError
+from .errors import SpecInvalidError, ZeroBaseError, check_shape
 from .periods import Month
 
 if TYPE_CHECKING:
@@ -354,43 +354,23 @@ def apply(
 #   - source: restaurants
 #     from: food
 #     to: culture-entertainment
+#
+# Each value is read as its text (`target: 5` is the item "5"). A top-level
+# null counts as absent. Any other part not of this shape (a null, list or
+# mapping where a single value belongs, a section that is not a list, a
+# missing key) is a SpecInvalidError naming it in `field`, e.g. rules[0].target.
 
-
-def _scalar(value, field: str, code: str = BAD_RULE) -> str:
-    """``str(value)``; a list or mapping where a single value belongs is a
-    ``SpecInvalidError`` naming ``field``, e.g. ``rules[0].target``."""
-    if isinstance(value, (list, set, Mapping)):
-        exc = SpecInvalidError(
-            [Finding(code, field, "must be a single value, not a list or mapping")]
-        )
-        exc.field = field
-        raise exc
-    return str(value)
-
-
-def _parse_rule(entry: Mapping, idx: int) -> Rule:
-    if not isinstance(entry, Mapping) or "target" not in entry or "kind" not in entry:
-        raise SpecInvalidError(
-            [Finding(BAD_RULE, f"rules[{idx}]", "each rule needs target and kind")]
-        )
-    where = f"rules[{idx}]"
-    target = _scalar(entry["target"], f"{where}.target")
-    sources: tuple[str, ...] = ()
-    if "source" in entry:
-        sources = (_scalar(entry["source"], f"{where}.source"),)
-    elif "sources" in entry:
-        raw = entry["sources"]
-        if not isinstance(raw, list):
-            raise SpecInvalidError([Finding(BAD_RULE, target, "sources must be a list")])
-        sources = tuple(_scalar(s, f"{where}.sources[{k}]") for k, s in enumerate(raw))
-    return Rule(
-        target=target,
-        kind=_scalar(entry["kind"], f"{where}.kind"),
-        sources=sources,
-        peer=_scalar(entry["peer"], f"{where}.peer") if entry.get("peer") is not None else None,
-        notes=_scalar(entry.get("notes", ""), f"{where}.notes"),
-    )
-
+_VALUE = (
+    "a single value, not a list, mapping, set or null",
+    lambda v: v is not None and not isinstance(v, (list, set, Mapping)),
+)
+_SPEC_SHAPE = {
+    "rules": [{"target": _VALUE, "kind": _VALUE, "source?": _VALUE, "sources?": [_VALUE],
+               "peer?": _VALUE, "notes?": _VALUE}],
+    "reassignments?": [{"source": _VALUE, "from": _VALUE, "to": _VALUE, "notes?": _VALUE}],
+    "version?": _VALUE,
+    "notes?": _VALUE,
+}
 
 # None picks libyaml's scanner and parser when PyYAML was built with it; the
 # constructor, and so the document, is the same as ``yaml.safe_load``'s.
@@ -404,44 +384,37 @@ def parse_spec(text: str) -> CrosswalkSpec:
     loader = _YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         doc = yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # also int() refusing a number of too many digits, and the pure-Python
+        # loader recursing once per level of nesting
         raise SpecInvalidError([Finding(BAD_RULE, "file", f"not valid YAML: {exc}")])
-    if not isinstance(doc, Mapping) or "rules" not in doc:
-        raise SpecInvalidError(
-            [Finding(BAD_RULE, "file", "expected a mapping with a `rules` list")]
-        )
-    if not isinstance(doc["rules"], list):
-        raise SpecInvalidError([Finding(BAD_RULE, "rules", "must be a list")])
-    rules = tuple(_parse_rule(e, i) for i, e in enumerate(doc["rules"]))
-    raw_moves = doc.get("reassignments") or []
-    if not isinstance(raw_moves, list):
-        raise SpecInvalidError([Finding(BAD_REASSIGNMENT, "reassignments", "must be a list")])
-    reassignments = []
-    for i, e in enumerate(raw_moves):
-        if not isinstance(e, Mapping) or not {"source", "from", "to"} <= set(e):
-            raise SpecInvalidError(
-                [
-                    Finding(
-                        BAD_REASSIGNMENT,
-                        f"reassignments[{i}]",
-                        "each reassignment needs source, from and to",
-                    )
-                ]
-            )
-        where = f"reassignments[{i}]"
-        reassignments.append(
-            Reassignment(
-                source=_scalar(e["source"], f"{where}.source", BAD_REASSIGNMENT),
-                from_item=_scalar(e["from"], f"{where}.from", BAD_REASSIGNMENT),
-                to_item=_scalar(e["to"], f"{where}.to", BAD_REASSIGNMENT),
-                notes=_scalar(e.get("notes", ""), f"{where}.notes", BAD_REASSIGNMENT),
-            )
-        )
+    if isinstance(doc, dict):
+        doc = {k: v for k, v in doc.items() if v is not None}
+    try:
+        check_shape(doc, _SPEC_SHAPE, ValueError)
+    except ValueError as exc:  # check_shape's error names the part in ``field``
+        where = exc.field or "file"
+        code = BAD_REASSIGNMENT if where.startswith("reassignments") else BAD_RULE
+        err = SpecInvalidError([Finding(code, where, str(exc))])
+        err.field = exc.field
+        raise err from None
     return CrosswalkSpec(
-        rules=rules,
-        reassignments=tuple(reassignments),
-        version=_scalar(doc.get("version", "1"), "version"),
-        notes=_scalar(doc.get("notes", ""), "notes"),
+        rules=tuple(
+            Rule(
+                target=str(r["target"]),
+                kind=str(r["kind"]),
+                sources=tuple(map(str, [r["source"]] if "source" in r else r.get("sources", ()))),
+                peer=str(r["peer"]) if "peer" in r else None,
+                notes=str(r.get("notes", "")),
+            )
+            for r in doc["rules"]
+        ),
+        reassignments=tuple(
+            Reassignment(str(m["source"]), str(m["from"]), str(m["to"]), str(m.get("notes", "")))
+            for m in doc.get("reassignments", ())
+        ),
+        version=str(doc.get("version", "1")),
+        notes=str(doc.get("notes", "")),
     )
 
 

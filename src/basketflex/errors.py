@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import reprlib
 
+from .periods import Month
+
 
 class BasketflexError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -220,6 +222,7 @@ STRING = ("a string", lambda v: isinstance(v, str))
 STRINGS = [STRING]
 NUMBER = ("a number", lambda v: type(v) in (int, float))
 BOOL = ("true or false", lambda v: isinstance(v, bool))
+MONTH = ("a month as YYYY-MM", parses(Month.parse))
 
 
 def check_shape(value, shape, error: type, field: str = "") -> None:

@@ -25,7 +25,9 @@ from decimal import Decimal, localcontext
 from typing import Mapping
 
 from .core import WeightVector, normalize_weights
-from .errors import STRING, InvalidEconomySpecError, MonthOutOfRangeError, check_shape, parses
+from .errors import (
+    MONTH, STRING, InvalidEconomySpecError, MonthOutOfRangeError, check_shape, parses,
+)
 from .ingest import AMOUNT_LIMIT
 from .periods import Month, month_range
 
@@ -383,14 +385,13 @@ _DECIMALS = (
     "an object of decimal strings or numbers",
     lambda v: isinstance(v, dict) and all(map(_DECIMAL[1], v.values())),
 )
-_MONTH = ("a month as YYYY-MM", parses(Month.parse))
 _ECONOMY_SHAPE = {
     "items": [{"id": STRING, "label?": STRING, "base_price?": _DECIMAL,
                "base_quantity?": _DECIMAL, "categories?": _DECIMALS}],
     "months": ("an integer", lambda v: True),  # as the other three, checked by validate
-    "start?": _MONTH,
+    "start?": MONTH,
     "base_drifts?": _DECIMALS,
-    "shock_windows?": [{"start": _MONTH, "end": _MONTH,
+    "shock_windows?": [{"start": MONTH, "end": MONTH,
                         "quantity_multipliers?": _DECIMALS, "price_drifts?": _DECIMALS}],
 }
 

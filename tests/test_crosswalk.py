@@ -1,10 +1,15 @@
+import functools
+import hashlib
 import json
+import operator
 import random
 import sys
 from decimal import Decimal as D
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketflex import cli
 from basketflex import crosswalk as cw
@@ -15,6 +20,8 @@ from basketflex.errors import (
 )
 from basketflex.ingest import ExpenditurePanel
 from basketflex.periods import Month, month_range
+
+from test_cli import GOLDEN_SHA256, _paths
 
 JAN, FEB, MAR = Month(2020, 1), Month(2020, 2), Month(2020, 3)
 
@@ -289,11 +296,24 @@ def test_parse_rejects_non_list_sections(text, code):
         ("rules: []\nreassignments:\n  - {source: x, from: [a], to: b}\n",
          "reassignments[0].from", cw.BAD_REASSIGNMENT),
         ("version: {major: 1}\nrules: []\n", "version", cw.BAD_RULE),
+        ("rules:\n  - {target: , kind: direct, source: x}\n", "rules[0].target", cw.BAD_RULE),
+        ("rules:\n  - {target: a, kind: direct, source: null}\n", "rules[0].source", cw.BAD_RULE),
+        ("rules:\n  - {target: a, kind: follow_peer, peer: ~}\n", "rules[0].peer", cw.BAD_RULE),
+        ("rules: []\nreassignments:\n  - {source: x, from: a, to: b, notes: }\n",
+         "reassignments[0].notes", cw.BAD_REASSIGNMENT),
+        ("rules:\n  - {target: a, kind: aggregate, sources: x}\n", "rules[0].sources", cw.BAD_RULE),
+        ("rules: {a: 1}\n", "rules", cw.BAD_RULE),
+        ("rules:\n  - 5\n", "rules[0]", cw.BAD_RULE),
+        ("rules: []\nreassignments: x\n", "reassignments", cw.BAD_REASSIGNMENT),
+        ("rules: null\n", "rules", cw.BAD_RULE),
     ],
-    ids=["target-list", "source-mapping", "sources-entry", "reassignment-from", "version"],
+    ids=["target-list", "source-mapping", "sources-entry", "reassignment-from", "version",
+         "target-null", "source-null", "peer-null", "reassignment-notes-null", "sources-text",
+         "rules-mapping", "rule-int", "reassignments-text", "rules-null"],
 )
 def test_parse_names_a_collection_where_a_value_belongs(text, field, code):
-    # these were str()-coerced: the target ['a', 'b'], the category {'x': 1}
+    # these were str()-coerced: the target ['a', 'b'], the category {'x': 1},
+    # a null the text "None"; the last five named no field
     with pytest.raises(SpecInvalidError) as exc:
         cw.parse_spec(text)
     assert exc.value.field == field
@@ -305,6 +325,28 @@ def test_parse_keeps_the_text_of_scalars():
     assert (spec.version, spec.rules[0].target, spec.rules[0].sources) == (
         "2", "5", ("2020-01-01",)
     )
+
+
+def test_parse_reads_every_field():
+    spec = cw.parse_spec(
+        "version: v\nnotes: n\nrules:\n"
+        "  - {target: a, kind: direct, source: x, notes: r}\n"
+        "  - {target: b, kind: aggregate, sources: [y, z]}\n"
+        "  - {target: c, kind: follow_peer, peer: a}\n"
+        "reassignments:\n  - {source: y, from: b, to: a, notes: m}\n"
+    )
+    assert spec == cw.CrosswalkSpec(
+        rules=(cw.Rule("a", "direct", ("x",), notes="r"), cw.Rule("b", "aggregate", ("y", "z")),
+               cw.Rule("c", "follow_peer", peer="a")),
+        reassignments=(cw.Reassignment("y", "b", "a", "m"),),
+        version="v",
+        notes="n",
+    )
+
+
+def test_parse_reads_a_top_level_null_as_absent():
+    spec = cw.parse_spec("version:\nnotes:\nrules: []\nreassignments:\n")
+    assert spec == cw.CrosswalkSpec(rules=(), reassignments=(), version="1", notes="")
 
 
 def test_validate_reports_the_field_of_a_collection(example_dir, tmp_path, capsys):
@@ -345,7 +387,9 @@ def test_spec_is_the_same_under_each_yaml_loader(
     assert cw.load_spec(bom) == reference
     assert len(used) == 2
 
-    for k, text in enumerate(["rules: [a\n", "rules: a: b\n", "rules:\n\t- x\n", "\x01\n"]):
+    too_many_digits = "rules: " + "1" * 5000 + "\n"  # int() refuses it with a ValueError
+    for k, text in enumerate(["rules: [a\n", "rules: a: b\n", "rules:\n\t- x\n", "\x01\n",
+                              too_many_digits]):
         bad = tmp_path / f"bad{k}.yaml"
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(SpecInvalidError, match="not valid YAML"):
@@ -359,6 +403,9 @@ def test_spec_is_the_same_under_each_yaml_loader(
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["error"] == "SpecInvalidError"
         assert "internal" not in report
+    # too deep for the pure-Python constructor, a list in place of a rule for libyaml's
+    with pytest.raises(SpecInvalidError):
+        cw.parse_spec("rules: " + "[" * 5000 + "]" * 5000 + "\n")
 
 
 def test_bundled_spec_loads_and_validates(israel_spec, example_inputs):
@@ -368,3 +415,70 @@ def test_bundled_spec_loads_and_validates(israel_spec, example_inputs):
     pools = cw.item_pools(israel_spec)
     assert "restaurants" in pools["culture-entertainment"]
     assert "restaurants" not in pools["food"]
+
+
+def test_run_and_validate_report_crosswalk_findings_alike(example_dir, tmp_path, capsys):
+    broken = tmp_path / "crosswalk.yaml"
+    broken.write_text("rules:\n  - {target: food, kind: direct, source: food-stores}\n")
+    reports = {}
+    for command in ("run", "validate"):
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--manifest", str(example_dir / "manifest.json"),
+                      "--crosswalk", str(broken), *out])
+        assert exc.value.code == 2
+        printed = capsys.readouterr()
+        reports[command] = json.loads(printed.err.strip().splitlines()[-1])
+    assert printed.out.splitlines() == reports["validate"]["findings"]
+    assert reports["run"] == reports["validate"]
+    assert set(reports["run"]) == {"error", "message", "findings", "path"}
+    assert (reports["run"]["error"], reports["run"]["path"]) == ("SpecInvalidError", str(broken))
+    assert "uncovered_item(housing): no rule maps this item" in reports["run"]["findings"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rule_order_does_not_change_run_output(example_dir, tmp_path, seed):
+    doc = yaml.safe_load((example_dir.parent / "israel_crosswalk.yaml").read_text())
+    rules = list(doc["rules"])
+    random.Random(seed).shuffle(doc["rules"])
+    assert doc["rules"] != rules
+    shuffled = tmp_path / "crosswalk.yaml"
+    shuffled.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    cli.main(["run", "--manifest", str(example_dir / "manifest.json"),
+              "--crosswalk", str(shuffled), "--out", str(out)])
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == GOLDEN_SHA256["default"]
+
+
+# Keys and values of the spec's shape, so that drawn documents often get past
+# their first checks.
+_SPEC_KEYS = st.sampled_from([
+    "version", "notes", "rules", "reassignments", "target", "kind", "source", "sources",
+    "peer", "from", "to",
+]) | st.text(max_size=3)
+_SPEC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.dates()
+    | st.sampled_from(["direct", "aggregate", "constant", "follow_peer", "food"])
+    | st.text(max_size=4),
+    lambda values: st.lists(values, max_size=3)
+    | st.dictionaries(_SPEC_KEYS, values, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_misshapen_specs_raise_only_spec_errors(example_dir, data):
+    """Small arbitrary YAML, alone or in place of one value of the bundled spec."""
+    if data.draw(st.booleans()):
+        doc = data.draw(st.dictionaries(_SPEC_KEYS, _SPEC_VALUES, max_size=5) | _SPEC_VALUES)
+    else:
+        doc = yaml.safe_load((example_dir.parent / "israel_crosswalk.yaml").read_text())
+        *path, key = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        functools.reduce(operator.getitem, path, doc)[key] = data.draw(_SPEC_VALUES)
+    try:
+        cw.parse_spec(yaml.safe_dump(doc))
+    except SpecInvalidError as exc:
+        # only a document that is not a mapping has no part to name
+        assert (exc.field is None) == (not isinstance(doc, dict)), exc
