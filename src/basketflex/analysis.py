@@ -57,7 +57,7 @@ from .errors import (
     check_shape,
     parses,
 )
-from .periods import Month, month_range
+from .periods import Month, month_range, parse_date
 
 ANNUAL_METHODS = ("chained", "fixed_base")
 
@@ -380,7 +380,7 @@ _NUMBERS = (
     "an object of numbers",
     lambda v: isinstance(v, dict) and {*map(type, v.values())} <= {int, float},
 )
-_IS_DATE = parses(dt.date.fromisoformat)
+_IS_DATE = parses(parse_date)
 _DATE_PAIR = (
     "a [start, end] pair of dates",
     lambda v: isinstance(v, list) and len(v) == 2 and all(map(_IS_DATE, v)),
@@ -427,8 +427,7 @@ def result_from_dict(doc: Mapping) -> ScenarioResult:
             else None
         ),
         lockdown_windows=tuple(
-            (dt.date.fromisoformat(a), dt.date.fromisoformat(b))
-            for a, b in cfg_doc.get("lockdown_windows", ())
+            (parse_date(a), parse_date(b)) for a, b in cfg_doc.get("lockdown_windows", ())
         ),
         country_label=doc.get("country", ""),
         annual_method=cfg_doc.get("annual_method", "chained"),

@@ -41,7 +41,7 @@ from .errors import (
     UsageError,
     check_shape,
 )
-from .periods import Month
+from .periods import Month, parse_date
 
 log = logging.getLogger("basketflex")
 
@@ -130,7 +130,7 @@ def _parse_month(text: str) -> Month:
 
 def _parse_date(text: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(str(text).strip())
+        return parse_date(str(text).strip())
     except ValueError:
         raise BasketflexError(f"bad date {text!r}; expected YYYY-MM-DD")
 

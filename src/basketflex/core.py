@@ -16,6 +16,7 @@ parallel and merged by period.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -87,40 +88,41 @@ class ExpenditureRelativeVector:
 
 @dataclass(frozen=True)
 class PriceRelativeSeries:
-    """Month-over-month price factors for one item, gap-free and positive."""
+    """Month-over-month price factors for one item, gap-free and positive.
+
+    ``values[k]`` is the factor of month ``start.plus(k)``; the factors are
+    packed in one ``array('d')``, so a series holds no per-month object.
+    """
 
     item: ItemId
-    points: tuple[tuple[Month, float], ...]
+    start: Month
+    values: array
 
     def __post_init__(self) -> None:
-        if not self.points:
+        if not self.values:
             raise EmptyInputError(f"price series for {self.item!r} is empty")
-        months = [m for m, _ in self.points]
-        if not is_consecutive(months):
-            raise GapInSeriesError(
-                f"price series for {self.item!r} has non-consecutive months"
-            )
-        for m, rel in self.points:
+        for k, rel in enumerate(self.values):
             if not (rel > 0 and math.isfinite(rel)):
-                raise NonPositivePriceError(self.item, m)
+                raise NonPositivePriceError(self.item, self.start.plus(k))
 
     @classmethod
     def from_mapping(cls, item: ItemId, by_month: Mapping[Month, float]) -> "PriceRelativeSeries":
-        pts = tuple(sorted(by_month.items(), key=lambda kv: kv[0].index))
-        return cls(item=item, points=pts)
-
-    @property
-    def start(self) -> Month:
-        return self.points[0][0]
+        """The series of a month-to-factor mapping, in any order; a gap is an error."""
+        months = sorted(by_month)
+        if not months:
+            raise EmptyInputError(f"price series for {item!r} is empty")
+        if not is_consecutive(months):
+            raise GapInSeriesError(f"price series for {item!r} has non-consecutive months")
+        return cls(item, months[0], array("d", map(by_month.__getitem__, months)))
 
     @property
     def end(self) -> Month:
-        return self.points[-1][0]
+        return self.start.plus(len(self.values) - 1)
 
     def at(self, period: Month) -> float | None:
         i = period.index - self.start.index
-        if 0 <= i < len(self.points):
-            return self.points[i][1]
+        if 0 <= i < len(self.values):
+            return self.values[i]
         return None
 
 
@@ -290,14 +292,14 @@ def fixed_base_annual(
         series = prices.get(item)
         if series is None:
             raise MissingPriceRelativeError(item, first)
-        # Series are gap-free, so the window is one slice of their points.
-        points = series.points
+        # Series are gap-free, so the window is one slice of their values.
+        values = series.values
         lo = first_index - series.start.index
-        if lo < 0 or lo >= len(points):
+        if lo < 0 or lo >= len(values):
             raise MissingPriceRelativeError(item, first)
-        if lo + 12 > len(points):
+        if lo + 12 > len(values):
             raise MissingPriceRelativeError(item, series.end.next())
-        factor = math.prod((rel for _, rel in points[lo : lo + 12]), start=1.0)
+        factor = math.prod(values[lo : lo + 12], start=1.0)
         total += w * (factor - 1.0) * 100.0
     return total
 

@@ -26,6 +26,7 @@ produce the same relatives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -355,14 +356,16 @@ def apply(
 #     from: food
 #     to: culture-entertainment
 #
-# Each value is read as its text (`target: 5` is the item "5"). A top-level
-# null counts as absent. Any other part not of this shape (a null, list or
-# mapping where a single value belongs, a section that is not a list, a
-# missing key) is a SpecInvalidError naming it in `field`, e.g. rules[0].target.
+# Each value is read as the text written: `target: 5` is the item "5", and
+# `0x1F`, `010` and `yes` stay as written. Only an empty value, `~` and `null`
+# are null, and a top-level null counts as absent. Any other part not of this
+# shape (a null, list or mapping where a single value belongs, a value tagged
+# as another type such as `!!int 5`, a section that is not a list, a missing
+# key) is a SpecInvalidError naming it in `field`, e.g. rules[0].target.
 
 _VALUE = (
-    "a single value, not a list, mapping, set or null",
-    lambda v: v is not None and not isinstance(v, (list, set, Mapping)),
+    "a single value as text, not a list, mapping, null or other tagged type",
+    lambda v: isinstance(v, str),
 )
 _SPEC_SHAPE = {
     "rules": [{"target": _VALUE, "kind": _VALUE, "source?": _VALUE, "sources?": [_VALUE],
@@ -372,16 +375,29 @@ _SPEC_SHAPE = {
     "notes?": _VALUE,
 }
 
-# None picks libyaml's scanner and parser when PyYAML was built with it; the
-# constructor, and so the document, is the same as ``yaml.safe_load``'s.
+# None picks ``_text_loader`` of libyaml's scanner and parser when PyYAML was
+# built with it, else of the pure-Python loader; a loader set here is used as it is.
 _YAML_LOADER = None
+_KEPT_TAGS = ("tag:yaml.org,2002:null", "tag:yaml.org,2002:merge")
+
+
+@functools.cache
+def _text_loader(base: type) -> type:
+    """``base`` with no implicit typing of plain scalars but null and the
+    ``<<`` merge key, so ``0x1F``, ``010`` and ``yes`` stay the text written
+    instead of becoming YAML 1.1's 31, 8 and True."""
+    resolvers = {
+        first: [r for r in found if r[0] in _KEPT_TAGS]
+        for first, found in base.yaml_implicit_resolvers.items()
+    }
+    return type(f"Text{base.__name__}", (base,), {"yaml_implicit_resolvers": resolvers})
 
 
 def parse_spec(text: str) -> CrosswalkSpec:
     """Parse the YAML configuration form of a crosswalk spec."""
     import yaml  # here, not at module level: only spec files need PyYAML
 
-    loader = _YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _YAML_LOADER or _text_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         doc = yaml.load(text, Loader=loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
@@ -401,20 +417,20 @@ def parse_spec(text: str) -> CrosswalkSpec:
     return CrosswalkSpec(
         rules=tuple(
             Rule(
-                target=str(r["target"]),
-                kind=str(r["kind"]),
-                sources=tuple(map(str, [r["source"]] if "source" in r else r.get("sources", ()))),
-                peer=str(r["peer"]) if "peer" in r else None,
-                notes=str(r.get("notes", "")),
+                target=r["target"],
+                kind=r["kind"],
+                sources=tuple([r["source"]] if "source" in r else r.get("sources", ())),
+                peer=r.get("peer"),
+                notes=r.get("notes", ""),
             )
             for r in doc["rules"]
         ),
         reassignments=tuple(
-            Reassignment(str(m["source"]), str(m["from"]), str(m["to"]), str(m.get("notes", "")))
+            Reassignment(m["source"], m["from"], m["to"], m.get("notes", ""))
             for m in doc.get("reassignments", ())
         ),
-        version=str(doc.get("version", "1")),
-        notes=str(doc.get("notes", "")),
+        version=doc.get("version", "1"),
+        notes=doc.get("notes", ""),
     )
 
 

@@ -4,7 +4,7 @@ File schemas (UTF-8, optionally with a byte-order mark; header row
 required; ``#`` comment lines and blank lines permitted between records;
 quoted fields may contain commas and newlines):
 
-* ``expenditures.csv`` — ``date (ISO-8601), category, amount (decimal)``
+* ``expenditures.csv`` — ``date (YYYY-MM-DD), category, amount (decimal)``
 * ``weights.csv``      — ``item, weight``
 * ``prices.csv``       — ``item, period (YYYY-MM), relative (decimal factor)``
 
@@ -49,7 +49,7 @@ from .errors import (
     WeightSumOutOfRangeError,
     WeightSumWarning,
 )
-from .periods import Month, is_consecutive, month_range
+from .periods import Month, is_consecutive, month_range, parse_date
 
 # Loaded weights must sum to one; deviations up to the warn gate pass
 # silently, deviations up to the error gate renormalize with a warning,
@@ -232,7 +232,7 @@ def _block_sums(path, allow_negative: bool) -> dict[CategoryId, dict[int, Decima
                     ):
                         return None
                     for d in set(dates).difference(month_of):
-                        month_of[d] = Month.of_date(dt.date.fromisoformat(d.strip())).index
+                        month_of[d] = Month.of_date(parse_date(d.strip())).index
                     for c in set(categories).difference(sums):
                         if not c or c != c.strip():
                             return None
@@ -433,7 +433,7 @@ def _expenditure_rows(
         date = dates.get(raw_date)
         if date is None:
             try:
-                date = dates[raw_date] = dt.date.fromisoformat(raw_date.strip())
+                date = dates[raw_date] = parse_date(raw_date.strip())
             except ValueError:
                 raise MalformedRecordError(line, f"bad date {raw_date.strip()!r}")
         category = category.strip()
@@ -504,8 +504,8 @@ def load_prices(path) -> dict[ItemId, PriceRelativeSeries]:
     """Read per-item month-over-month price factors from ``prices.csv``.
 
     A relative must be a finite number above 0 and below ``RELATIVE_LIMIT``
-    (1e25). Each distinct period string is parsed once, so all items share one
-    ``Month`` per period.
+    (1e25). Rows may come in any order; each item's months must be gap-free.
+    Each distinct period string is parsed once.
     """
     by_item: dict[ItemId, dict[Month, float]] = {}
     months: dict[str, Month] = {}

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import calendar
 import datetime as dt
 import re
 from dataclasses import dataclass
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True, order=True)
@@ -50,7 +50,11 @@ class Month:
         return self.plus(1)
 
     def days(self) -> int:
-        return calendar.monthrange(self.year, self.month)[1]
+        """Days in the month, by the Gregorian leap-year rule."""
+        if self.month == 2:
+            y = self.year
+            return 29 if y % 4 == 0 and (y % 100 != 0 or y % 400 == 0) else 28
+        return 30 if self.month in (4, 6, 9, 11) else 31
 
     def first_day(self) -> dt.date:
         return dt.date(self.year, self.month, 1)
@@ -60,6 +64,17 @@ class Month:
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
+
+
+def parse_date(text: str) -> dt.date:
+    """A date written exactly as YYYY-MM-DD, on every Python version.
+
+    ``date.fromisoformat`` also takes ``20200105`` and ``2020-W01-7`` from
+    Python 3.11 on; those raise ValueError here, as do impossible dates.
+    """
+    if _DATE_RE.fullmatch(text) is None:
+        raise ValueError(f"expected a date as YYYY-MM-DD, got {text!r}")
+    return dt.date.fromisoformat(text)
 
 
 def month_range(start: Month, end: Month) -> list[Month]:

@@ -34,6 +34,7 @@ from .periods import Month, month_range
 _PREC = 50
 _CENT = Decimal("0.01")
 _ONE = Decimal(1)
+_CUTS = tuple(map(Decimal, range(1001)))  # each weight 1..1000 that splits a day's spend
 MAX_MONTHS = 1200  # a century of monthly data
 # Base prices, base quantities and quantity multipliers lie within
 # 1e-MAGNITUDE..1e+MAGNITUDE, and so does each price drift compounded over the
@@ -294,6 +295,7 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
     factors: dict[str, list[Decimal]] = {}
     spend = monthly_spend(spec, factors)  # validates the spec
     rng = random.Random(spec.seed)
+    randrange = rng.randrange
     horizon = spec.horizon()
 
     with localcontext() as ctx:  # official weights: mean spending shares over the base months
@@ -323,13 +325,14 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
                 # every daily part is less than a cent above its month's spend
                 near_limit = path[m] > AMOUNT_LIMIT - _CENT
                 for (cat, _), part in zip(cats, _split_exact(path[m], shares)):
-                    k = rng.randint(1, min(cap, n))
+                    # 1 + randrange(n) draws as randint(1, n) does, with fewer calls
+                    k = 1 + randrange(min(cap, n))
                     if part < 1:  # too small to split into cent-quantized pieces
                         k = 1
                     days = sorted(rng.sample(range(1, n + 1), k))
-                    cuts = [rng.randint(1, 1000) for _ in range(k)]
+                    cuts = [1 + randrange(1000) for _ in range(k)]
                     total_cut = Decimal(sum(cuts))
-                    day_parts = _split_exact(part, [Decimal(c) / total_cut for c in cuts])
+                    day_parts = _split_exact(part, [_CUTS[c] / total_cut for c in cuts])
                     if near_limit and max(day_parts) >= AMOUNT_LIMIT:
                         exc = InvalidEconomySpecError(
                             f"field 'items[{index}]' spends {max(day_parts)} on one day of {m} "
@@ -342,8 +345,10 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
     ledger = ["date,category,amount\n"]
     for m, buckets in months:
         for day, bucket in enumerate(buckets, 1):
-            date = f"{m}-{day:02d}"
-            ledger.extend(f"{date},{cat},{amount}\n" for cat, amount in sorted(bucket))
+            if bucket:
+                bucket.sort()
+                date = f"{m}-{day:02d},"
+                ledger.extend(f"{date}{cat},{amount!s}\n" for cat, amount in bucket)
 
     return GeneratedFiles(
         weights_csv="".join(weights),

@@ -4,6 +4,7 @@ import datetime as dt
 import io
 import math
 import tracemalloc
+from array import array
 from decimal import Decimal as D
 
 import pytest
@@ -81,8 +82,9 @@ def test_fixed_weight_at_single_base_month_equals_official():
     weights, prices, panel, spec = load_economy_inputs(priced_economy())
     # generated price factors start one month into the panel; extend them to
     # the base month so the freeze month lies on the scenario axis
+    assert all(s.start == START.next() for s in prices.values())
     prices = {
-        i: dataclasses.replace(s, points=((START, 1.0),) + s.points)
+        i: dataclasses.replace(s, start=START, values=array("d", [1.0]) + s.values)
         for i, s in prices.items()
     }
     config = ScenarioConfig(base_months=(START,), fixed_weight_month=START)
@@ -190,9 +192,7 @@ def test_uncovered_item_fails_validation():
 def test_no_overlap_errors():
     weights, prices, panel, spec = load_economy_inputs(flat_economy(months=4))
     shifted = {
-        i: dataclasses.replace(
-            s, points=tuple((m.plus(120), v) for m, v in s.points)
-        )
+        i: dataclasses.replace(s, start=s.start.plus(120))
         for i, s in prices.items()
     }
     with pytest.raises(NoOverlappingPeriodsError):

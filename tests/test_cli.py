@@ -1118,7 +1118,10 @@ def test_help_text_is_unchanged(command, text):
     ("lockdowns[1]", {"lockdowns": [["2020-03-01", "2020-05-31"], ["2020-09-01", "2020-13-31"]]},
      ("--lockdowns", "2020-03-01:2020-05-31,2020-09-01:2020-13-31"),
      "bad date '2020-13-31'; expected YYYY-MM-DD"),
-], ids=["base-months", "fixed-weight-month", "lockdowns"])
+    # date.fromisoformat takes both dates from Python 3.11 on
+    ("lockdowns[0]", {"lockdowns": [["2020-W09-7", "20200531"]]},
+     ("--lockdowns", "2020-W09-7:20200531"), "bad date '2020-W09-7'; expected YYYY-MM-DD"),
+], ids=["base-months", "fixed-weight-month", "lockdowns", "lockdowns-iso-week"])
 @pytest.mark.parametrize("source", ["manifest", "flag"])
 def test_bad_field_value_names_its_field(example_dir, tmp_path, source, field, changes, flag,
                                          message):

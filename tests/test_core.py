@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -184,9 +185,39 @@ def test_monthly_inflation_extra_series_at_period():
 
 def test_price_series_invariants():
     with pytest.raises(GapInSeriesError):
-        PriceRelativeSeries("A", ((Month(2020, 1), 1.0), (Month(2020, 3), 1.0)))
+        PriceRelativeSeries.from_mapping("A", {Month(2020, 1): 1.0, Month(2020, 3): 1.0})
     with pytest.raises(NonPositivePriceError):
-        PriceRelativeSeries("A", ((Month(2020, 1), 0.0),))
+        PriceRelativeSeries("A", Month(2020, 1), array("d", [0.0]))
+
+
+def test_price_series_from_mapping_sorts_and_packs():
+    series = PriceRelativeSeries.from_mapping("A", {Month(2020, 3): 1.3, Month(2020, 1): 1.1,
+                                                    Month(2020, 2): 1.2})
+    assert (series.start, series.end) == (Month(2020, 1), Month(2020, 3))
+    assert series.values == array("d", [1.1, 1.2, 1.3])
+    assert [series.at(Month(2020, m)) for m in range(1, 5)] == [1.1, 1.2, 1.3, None]
+    assert series.at(Month(2019, 12)) is None
+
+
+def test_price_series_refuses_a_gap_and_an_empty_series():
+    with pytest.raises(GapInSeriesError, match="'A'"):
+        PriceRelativeSeries.from_mapping("A", {Month(2020, 1): 1.0, Month(2020, 12): 1.0})
+    with pytest.raises(EmptyInputError, match="'A'"):
+        PriceRelativeSeries.from_mapping("A", {})
+    with pytest.raises(EmptyInputError, match="'A'"):
+        PriceRelativeSeries("A", Month(2020, 1), array("d"))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.inf, -math.inf, math.nan])
+def test_price_series_names_the_item_and_month_of_a_bad_factor(bad):
+    for build in (
+        lambda: PriceRelativeSeries("A", Month(2020, 11), array("d", [1.0, 1.0, bad, 1.0])),
+        lambda: PriceRelativeSeries.from_mapping(
+            "A", {Month(2020, 11).plus(k): v for k, v in enumerate([1.0, 1.0, bad])}),
+    ):
+        with pytest.raises(NonPositivePriceError) as exc:
+            build()
+        assert (exc.value.item, exc.value.period) == ("A", Month(2021, 1))
 
 
 # --- chain_annual -----------------------------------------------------------

@@ -408,6 +408,49 @@ def test_spec_is_the_same_under_each_yaml_loader(
         cw.parse_spec("rules: " + "[" * 5000 + "]" * 5000 + "\n")
 
 
+# YAML 1.1 typing read these as 31, 8, 1000, True, True, 0.5, 1000.0 and a date.
+IDS_AS_WRITTEN = ["0x1F", "010", "1_000", "yes", "on", ".5", "1e3", "2020-01-01", "5"]
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_spec_reads_ids_as_written(loader, example_dir, monkeypatch):
+    bundled = (example_dir.parent / "israel_crosswalk.yaml").read_text(encoding="utf-8")
+    reference = cw.parse_spec(bundled)
+    assert cw.parse_spec("rules:\n  - {target: a, kind: direct, source: 0x1F}\n").rules[0].sources \
+        == ("0x1F",)  # the default loader
+    monkeypatch.setattr(cw, "_YAML_LOADER", cw._text_loader(loader))
+    assert cw.parse_spec(bundled) == reference
+    for written in IDS_AS_WRITTEN:
+        spec = cw.parse_spec(
+            f"version: {written}\nnotes: {written}\n"
+            f"rules:\n  - {{target: {written}, kind: direct, source: {written}, notes: {written}}}\n"
+            f"  - {{target: b, kind: aggregate, sources: [{written}, y]}}\n"
+            f"  - {{target: c, kind: follow_peer, peer: {written}}}\n"
+            f"reassignments:\n  - {{source: {written}, from: {written}, to: {written}}}\n"
+        )
+        assert spec == cw.CrosswalkSpec(
+            rules=(cw.Rule(written, "direct", (written,), notes=written),
+                   cw.Rule("b", "aggregate", (written, "y")),
+                   cw.Rule("c", "follow_peer", peer=written)),
+            reassignments=(cw.Reassignment(written, written, written),),
+            version=written,
+            notes=written,
+        ), written
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("value", ["", "~", "null", "!!binary aGVsbG8=", "!!int 5", "!!float 1",
+                                   "!!bool yes", "!!timestamp 2020-01-01"])
+def test_spec_refuses_a_null_or_tagged_non_string(loader, value, monkeypatch):
+    monkeypatch.setattr(cw, "_YAML_LOADER", cw._text_loader(loader))
+    assert cw.parse_spec("rules:\n  - {target: a, kind: direct, source: !!str 5}\n").rules[0] \
+        == cw.Rule("a", "direct", ("5",))
+    with pytest.raises(SpecInvalidError) as exc:
+        cw.parse_spec(f"rules:\n  - {{target: a, kind: direct, source: {value}}}\n")
+    assert exc.value.field == "rules[0].source"
+    assert [(f.code, f.subject) for f in exc.value.findings] == [(cw.BAD_RULE, "rules[0].source")]
+
+
 def test_bundled_spec_loads_and_validates(israel_spec, example_inputs):
     weights, _, panel, _ = example_inputs
     assert cw.validate(israel_spec, set(weights.shares), panel.categories) == []

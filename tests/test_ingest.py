@@ -328,6 +328,36 @@ def test_load_prices_gap_errors():
         ingest.load_prices(io.StringIO(text))
 
 
+def test_load_prices_of_shuffled_rows_equals_the_sorted_file():
+    rows = [f"i{k},2020-{m:02d},{1 + k / 100 + m / 1000}" for k in range(5) for m in range(1, 13)]
+    sorted_text = "item,period,relative\n" + "\n".join(rows) + "\n"
+    expect = ingest.load_prices(io.StringIO(sorted_text))
+    assert [(s.start, s.end) for s in expect.values()] == [(Month(2020, 1), Month(2020, 12))] * 5
+    rng = random.Random(7)
+    for _ in range(3):
+        rng.shuffle(rows)
+        text = "item,period,relative\n" + "\n".join(rows) + "\n"
+        assert ingest.load_prices(io.StringIO(text)) == expect
+
+
+def test_load_prices_packs_each_series(tmp_path):
+    # 80 items x 120 months: each relative is one 8-byte float of an array,
+    # where (Month, float) pairs took about 80 bytes a relative
+    path = tmp_path / "prices.csv"
+    path.write_text("item,period,relative\n" + "".join(
+        f"i{k:03d},{Month(2011, 1).plus(m)},{1 + (k * m % 97) / 1000}\n"
+        for k in range(80) for m in range(120)))
+    ingest.load_prices(path)  # warm-up: first-use imports and caches
+    tracemalloc.start()
+    try:
+        series = ingest.load_prices(path)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(s.values) for s in series.values()) == 80 * 120
+    assert retained <= 24 * 80 * 120, retained / (80 * 120)
+
+
 def test_load_prices_duplicate_period_errors():
     text = "item,period,relative\nfood,2020-01,1.0\nfood,2020-01,1.0\n"
     with pytest.raises(SchemaError):
@@ -555,6 +585,18 @@ def test_block_reader_takes_plain_ledgers(tmp_path, example_dir):
         with mock.patch.object(ingest, "_block_sums", return_value=None):
             rows = _read_outcome(path, False)
         assert _read_outcome(path, False) == rows
+
+
+# date.fromisoformat takes the first three from Python 3.11 on, and 3.10 does not.
+@pytest.mark.parametrize("date", ["20200105", "2020-W02-7", "2020W027", "2020-1-05",
+                                  "2020-01-05T00:00"])
+def test_readers_take_dates_only_as_yyyy_mm_dd(tmp_path, date):
+    path = tmp_path / "expenditures.csv"
+    path.write_text(f"date,category,amount\n2020-01-04,a,1\n{date},a,2\n", newline="")
+    assert ingest._block_sums(path, False) is None
+    with pytest.raises(MalformedRecordError, match=f"line 3: bad date '{date}'") as exc:
+        ingest.read_expenditure_panel(path)
+    assert exc.value.line == 3
 
 
 def test_block_reader_declines_a_line_longer_than_two_blocks(tmp_path):
