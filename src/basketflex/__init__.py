@@ -19,8 +19,8 @@ _EXPORTS = {
                 "WeightVector adjusted_weights chain_annual exclude_items fixed_base_annual "
                 "monthly_inflation normalize_weights weighting_bias",
         "crosswalk": "CrosswalkSpec Reassignment Rule identity_spec",
-        "ingest": "DailyExpenditureRecord ExpenditurePanel aggregate_daily base_period "
-                  "load_expenditures load_prices load_weights read_expenditure_panel",
+        "ingest": "ExpenditurePanel aggregate_daily base_period load_expenditures load_prices "
+                  "load_weights read_expenditure_panel",
         "periods": "Month month_range",
         "synth": "GeneratedFiles ShockWindow SyntheticEconomySpec SyntheticItem generate "
                  "oracle_adjusted_weights",

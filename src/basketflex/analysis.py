@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass, replace
 from math import isfinite
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from . import crosswalk as cw
 from . import ingest
@@ -211,11 +211,7 @@ def _price_scenario(
     """
     basket_prices, priced_months = _basket_prices(weights, prices)
     start, end = priced_months[0], priced_months[-1]
-    axis = [m for m in priced_months if m in relatives]
-    if not axis:
-        raise NoOverlappingPeriodsError(
-            "expenditure panel and price series share no months"
-        )
+    axis = _scenario_axis(config, priced_months, relatives)
     log.info("scenario axis: %s..%s, %d months", axis[0], axis[-1], len(axis))
     log.info(
         "months dropped: no expenditure relatives [%s]; no price relatives [%s]",
@@ -224,8 +220,6 @@ def _price_scenario(
     )
 
     if config.fixed_weight_month is not None:
-        if config.fixed_weight_month not in axis:
-            raise FixedMonthOutOfRangeError(config.fixed_weight_month)
         frozen = adjusted_weights(weights, relatives[config.fixed_weight_month])
         adj_vectors = [replace(frozen, period=m) for m in axis]
     else:
@@ -264,6 +258,19 @@ def _price_scenario(
         bias=tuple(weighting_bias(official_pts, adjusted_pts)),
         core_bias=tuple(weighting_bias(core_off_pts, core_adj_pts)),
     )
+
+
+def _scenario_axis(
+    config: ScenarioConfig, priced_months: list[Month], relative_months: Container[Month]
+) -> list[Month]:
+    """The priced months with expenditure relatives; NoOverlappingPeriodsError if
+    there are none, FixedMonthOutOfRangeError if the fixed-weight month is not one."""
+    axis = [m for m in priced_months if m in relative_months]
+    if not axis:
+        raise NoOverlappingPeriodsError("expenditure panel and price series share no months")
+    if config.fixed_weight_month is not None and config.fixed_weight_month not in axis:
+        raise FixedMonthOutOfRangeError(config.fixed_weight_month)
+    return axis
 
 
 def _basket_prices(

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import datetime as dt
+import errno
 import io
 import json
 import logging
@@ -36,7 +37,6 @@ from .errors import (
     STRINGS,
     BasketflexError,
     ConfigError,
-    FixedMonthOutOfRangeError,
     SpecInvalidError,
     UsageError,
     check_shape,
@@ -64,6 +64,8 @@ def _replaced_together(paths: list[Path]):
         try:
             for where in paths:
                 where.parent.mkdir(parents=True, exist_ok=True)
+                if where.is_dir():  # its rename would fail after the others were done
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 fd, tmp = tempfile.mkstemp(dir=where.parent, prefix=".tmp-")
                 temps.append((tmp, os.fdopen(fd, "w", encoding="utf-8", newline="")))
             where = paths[0] if len(paths) == 1 else paths[0].parent
@@ -399,18 +401,16 @@ def cmd_validate(manifest, **flags) -> None:
     config = m.config()
     weights, prices, panel, spec = _load_inputs(m)
     findings = crosswalk.validate(spec, set(weights.shares), panel.categories)
-    for f in findings:
-        print(str(f))
     if findings:
+        print(*findings, sep="\n")
         with _about(m.inputs["crosswalk"]):
             raise SpecInvalidError(findings)
-    # what run refuses of this configuration, without its relatives or pricing
-    ingest.base_period(panel, config.base_months)
-    core.exclude_items(weights, config.core_exclusions)
+    # what run refuses, in run's order, but for what needs the relatives themselves
+    base = ingest.base_period(panel, config.base_months, per_day=config.per_day_base)
+    crosswalk.check_base(spec, base)
     _, priced_months = analysis._basket_prices(weights, prices)
-    fixed = config.fixed_weight_month
-    if fixed is not None and (fixed not in panel.months or fixed not in priced_months):
-        raise FixedMonthOutOfRangeError(fixed)
+    analysis._scenario_axis(config, priced_months, panel.months)
+    core.exclude_items(weights, config.core_exclusions)
     print(
         f"ok: {len(weights.shares)} items, {len(panel.categories)} categories, "
         f"{len(panel.months)} panel months, {len(prices)} price series"
@@ -428,14 +428,14 @@ def cmd_generate(economy, out) -> None:
     from . import synth  # the only command that needs it
 
     files = _load(lambda path: synth.generate(synth.load_economy(path)), economy)
-    outdir = Path(out)
-    for name, content in (
-        ("weights.csv", files.weights_csv),
-        ("prices.csv", files.prices_csv),
-        ("expenditures.csv", files.expenditures_csv),
-    ):
-        _write_atomic(outdir / name, content)
-        print(f"wrote {outdir / name}")
+    texts = {"weights.csv": files.weights_csv, "prices.csv": files.prices_csv,
+             "expenditures.csv": files.expenditures_csv}
+    paths = [Path(out) / name for name in texts]
+    with _replaced_together(paths) as handles:
+        for fh, text in zip(handles, texts.values()):
+            fh.write(text)
+    for path in paths:
+        print(f"wrote {path}")
 
 
 @_command(

@@ -264,6 +264,14 @@ def item_pools(spec: CrosswalkSpec) -> dict[ItemId, tuple[CategoryId, ...]]:
     return {item: tuple(cats) for item, cats in pools.items()}
 
 
+def check_base(spec: CrosswalkSpec, base: Mapping[CategoryId, Decimal]) -> None:
+    """Raise ZeroBaseError for the first consumed category, in sorted order,
+    that has no base spending, as ``apply`` would."""
+    for c in sorted({c for cats in item_pools(spec).values() for c in cats}):
+        if base.get(c, Decimal(0)) <= 0:
+            raise ZeroBaseError(c)
+
+
 def apply(
     spec: CrosswalkSpec,
     panel: "ExpenditurePanel",
@@ -280,21 +288,25 @@ def apply(
     count so months of different lengths compare cleanly.
 
     Raises SpecInvalidError when the spec does not validate against this
-    panel and ZeroBaseError when a consumed category has no base spending.
-    A month in which a pool's spending drops to zero surfaces as
-    NonPositiveRelativeError, because a zero weight would silently delete
+    panel and ZeroBaseError (``check_base``) when a consumed category has no
+    base spending. A month in which a pool's spending drops to zero surfaces
+    as NonPositiveRelativeError, because a zero weight would silently delete
     the item's price signal; floor expenditures or exclude the item instead.
     """
     items = {r.target for r in spec.rules}
     findings = validate(spec, items, panel.categories)
     if findings:
         raise SpecInvalidError(findings)
+    check_base(spec, base)
 
     pools = item_pools(spec)
     consumed = sorted({c for cats in pools.values() for c in cats})
-    for c in consumed:
-        if base.get(c, Decimal(0)) <= 0:
-            raise ZeroBaseError(c)
+    rules = {r.target: r for r in spec.rules}
+
+    def end(item: ItemId) -> ItemId:  # of a follow_peer chain; validate rules out cycles
+        return end(rules[item].peer) if rules[item].kind == "follow_peer" else item
+
+    peers = {r.target: end(r.peer) for r in spec.rules if r.kind == "follow_peer"}
 
     with localcontext() as ctx:
         ctx.prec = 50
@@ -319,23 +331,8 @@ def apply(
                     relatives[r.target] = 1.0
                 elif r.kind == "follow_total":
                     relatives[r.target] = total_relative
-
-            # Peers last, chains resolved to their terminal rule.
-            pending = [r for r in spec.rules if r.kind == "follow_peer"]
-            while pending:
-                progressed = False
-                rest = []
-                for r in pending:
-                    if r.peer in relatives:
-                        relatives[r.target] = relatives[r.peer]
-                        progressed = True
-                    else:
-                        rest.append(r)
-                pending = rest
-                if not progressed and pending:  # unreachable after validate
-                    raise SpecInvalidError(
-                        [Finding(PEER_CYCLE, r.target, "unresolvable peer") for r in pending]
-                    )
+            for item, peer in peers.items():
+                relatives[item] = relatives[peer]
             out[month] = ExpenditureRelativeVector(period=month, relatives=relatives)
     return out
 

@@ -98,12 +98,11 @@ class SpecInvalidError(BasketflexError):
 
 
 class MalformedRecordError(BasketflexError):
-    """A record failed validation; ``line`` is None when it was never in a file."""
+    """A record failed validation; ``line`` is None when it is not known."""
 
     def __init__(self, line: int | None, reason: str):
         super().__init__(reason if line is None else f"line {line}: {reason}")
         self.line = line
-        self.reason = reason
 
 
 class NonFiniteAmountError(BasketflexError):

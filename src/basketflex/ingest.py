@@ -8,6 +8,8 @@ quoted fields may contain commas and newlines):
 * ``weights.csv``      — ``item, weight``
 * ``prices.csv``       — ``item, period (YYYY-MM), relative (decimal factor)``
 
+Numbers are written in ASCII, without ``_`` separators.
+
 Each file is read in one pass by one CSV reader, and every error names the
 line its record starts on. :func:`read_expenditure_panel` folds daily
 expenditure records straight into (category, month) cells, so its memory
@@ -28,8 +30,8 @@ import contextlib
 import csv
 import datetime as dt
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -72,75 +74,39 @@ _ZERO = Decimal(0)
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class DailyExpenditureRecord:
-    """One day's spending in one category; ``line`` is the file line it was
-    read from, or None for a record built in memory."""
-
-    date: dt.date
-    category: CategoryId
-    amount: Decimal
-    line: int | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.amount.is_finite():
-            raise NonFiniteAmountError(
-                f"amount for {self.category!r} on {self.date} is not finite"
-            )
+def _plain(number: str) -> str:
+    """``number`` if it is written in ASCII without ``_``, else ValueError:
+    ``float`` and ``Decimal`` also read ``1_000`` and other scripts' digits (``١٢``)."""
+    if not number.isascii() or "_" in number:
+        raise ValueError(f"not a plain number: {number!r}")
+    return number
 
 
 class ExpenditurePanel:
     """Per-category monthly expenditure totals over a gapless month span.
 
-    The table is one list of month totals per category.
+    ``columns`` maps each category, in sorted order, to one total per month
+    of ``months``; the panel keeps those lists as its table.
     """
 
-    def __init__(self, months: Iterable[Month], totals: dict[tuple[CategoryId, Month], Decimal]):
+    def __init__(self, months: Iterable[Month], columns: dict[CategoryId, list[Decimal]]):
         months = tuple(months)
-        pos = {m: k for k, m in enumerate(months)}
-        columns = {c: [_ZERO] * len(months) for c in sorted({c for c, _ in totals})}
-        filled = 0
-        for (c, m), v in totals.items():
-            k = pos.get(m)
-            if k is not None:
-                columns[c][k] = v
-                filled += 1
-        self._adopt(months, columns, filled)
-
-    @classmethod
-    def _of_columns(
-        cls, months: tuple[Month, ...], columns: dict[CategoryId, list[Decimal]], filled: int
-    ) -> ExpenditurePanel:
-        """A panel that takes ``columns`` (sorted by category) as its table."""
-        panel = cls.__new__(cls)
-        panel._adopt(months, columns, filled)
-        return panel
-
-    def _adopt(
-        self, months: tuple[Month, ...], columns: dict[CategoryId, list[Decimal]], filled: int
-    ) -> None:
-        """Check and keep the table; ``filled`` counts the cells that had records."""
         if not months:
             raise EmptyInputError("panel covers no months")
         if not is_consecutive(months):
             raise ValueError("panel months must be consecutive")
         if not columns:
             raise EmptyInputError("panel has no categories")
+        for c, column in columns.items():
+            if len(column) != len(months):
+                raise ValueError(f"{c!r} has {len(column)} totals for {len(months)} months")
+            for m, v in zip(months, column):
+                if v < 0:
+                    raise NegativeTotalError(c, m)
         self.months: tuple[Month, ...] = months
         self.categories: tuple[CategoryId, ...] = tuple(columns)
         self._pos = {m: k for k, m in enumerate(months)}
         self._totals = columns
-        for c, column in columns.items():
-            for m, v in zip(months, column):
-                if v < 0:
-                    raise NegativeTotalError(c, m)
-        missing = len(columns) * len(months) - filled
-        if missing:
-            warnings.warn(
-                f"{missing} category-month cells had no records and were set to 0",
-                MissingCellWarning,
-                stacklevel=3,  # the constructor's caller, or _panel_of
-            )
 
     def total(self, category: CategoryId, month: Month) -> Decimal:
         return self._totals[category][self._pos[month]]
@@ -153,38 +119,24 @@ class ExpenditurePanel:
         )
 
 
-def aggregate_daily(
-    records: Iterable[DailyExpenditureRecord], allow_negative: bool = False
-) -> ExpenditurePanel:
-    """Sum daily records into calendar-month totals.
+def read_expenditure_panel(path, allow_negative: bool = False) -> ExpenditurePanel:
+    """Read ``expenditures.csv`` straight into calendar-month totals.
 
     The panel spans the months of the earliest to the latest record date;
-    months inside the span with no records at all raise a GapWarning and are
-    filled with zeros. Negative amounts (refunds, chargebacks) are rejected
-    unless ``allow_negative``; even then each monthly total must come out
+    months inside the span with no records at all raise a GapWarning, and
+    cells with no records a MissingCellWarning, and are filled with zeros.
+    Negative amounts (refunds, chargebacks) are rejected unless
+    ``allow_negative``; even then each monthly total must come out
     non-negative. Every amount must lie strictly inside ``±AMOUNT_LIMIT``
-    (1e15). A rejected record names its file line when it was read
-    from a file.
-    """
-    return _panel_of(
-        _fold(((r.line, r.date, r.category, r.amount) for r in records), allow_negative)
-    )
-
-
-def read_expenditure_panel(path, allow_negative: bool = False) -> ExpenditurePanel:
-    """Read ``expenditures.csv`` straight into monthly totals in one pass.
-
-    Equivalent to ``aggregate_daily(load_expenditures(path, allow_negative),
-    allow_negative)`` with the same checks, errors and warnings, but no
-    record list is built: memory is bounded by the category-month cells.
-    A path is tried with the block reader first; a text stream, or a file
-    that reader declines, is read row by row.
+    (1e15). No record list is built: memory is bounded by the
+    category-month cells. A path is tried with the block reader first; a
+    text stream, or a file that reader declines, is read row by row.
     """
     sums = None if hasattr(path, "read") else _block_sums(path, allow_negative)
-    if sums is None:
-        with _table(path, _EXPENDITURE_HEADER) as rows:
-            sums = _fold(_expenditure_rows(rows), allow_negative)
-    return _panel_of(sums)
+    if sums is not None:
+        return _panel_of(sums)
+    with _table(path, _EXPENDITURE_HEADER) as rows:
+        return aggregate_daily(_expenditure_rows(rows), allow_negative)
 
 
 def _block_sums(path, allow_negative: bool) -> dict[CategoryId, dict[int, Decimal]] | None:
@@ -195,8 +147,9 @@ def _block_sums(path, allow_negative: bool) -> dict[CategoryId, dict[int, Decima
     columns and its amounts converted in C, checked with one min and max,
     and added in file order, so the sums equal ``_fold``'s to the exponent.
     The reader raises no input error: a quote, ``#``, CR or NUL, a line
-    without exactly two commas or longer than two blocks, a value that does
-    not parse or is out of range, or an empty or padded category declines,
+    without exactly two commas or longer than two blocks, an amount that is
+    not ``_plain`` or does not parse or is out of range, or an empty or
+    padded category declines,
     and the row reader then reports the error from the file's start.
     """
     sums: dict[CategoryId, dict[int, Decimal]] = {}
@@ -224,6 +177,7 @@ def _block_sums(path, allow_negative: bool) -> dict[CategoryId, dict[int, Decima
                         return None
                     fields = text.replace("\n", ",").split(",")
                     dates, categories = fields[0::3], fields[1::3]
+                    _plain("".join(fields[2::3]))  # one test for the whole column
                     amounts = list(map(Decimal, fields[2::3]))
                     del fields  # and the amount strings, so they do not live beside the sums
                     low = min(amounts)
@@ -247,7 +201,7 @@ def _block_sums(path, allow_negative: bool) -> dict[CategoryId, dict[int, Decima
 
 
 def _fold(
-    rows: Iterable[tuple[int | None, dt.date, CategoryId, Decimal]], allow_negative: bool
+    rows: Iterable[tuple[int, dt.date, CategoryId, Decimal]], allow_negative: bool
 ) -> dict[CategoryId, dict[int, Decimal]]:
     """Accumulate (line, date, category, amount) rows into month sums.
 
@@ -283,26 +237,38 @@ def _fold(
 def _panel_of(sums: dict[CategoryId, dict[int, Decimal]]) -> ExpenditurePanel:
     """The panel of the month sums; each dict is dropped as its column is built.
 
-    Its warnings name the caller of the function that called it.
+    Only here is it known which cells had records, so both warnings come
+    from here, and they name the first caller outside this module.
     """
     if not sums:
         raise EmptyInputError("no expenditure records")
     seen = set().union(*sums.values())
     first, last = min(seen), max(seen)
     months = tuple(month_range(Month.from_index(first), Month.from_index(last)))
+    frame, stacklevel = sys._getframe(), 1  # of the first caller outside this module
+    while frame.f_globals is globals():
+        frame, stacklevel = frame.f_back, stacklevel + 1
     empty = [m for m in months if m.index not in seen]
     if empty:
         warnings.warn(
             f"no records in {', '.join(str(m) for m in empty)}; totals set to 0",
             GapWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     columns, filled = {}, 0
     for c in sorted(sums):
         cells = sums.pop(c)
         columns[c] = [cells.get(k, _ZERO) for k in range(first, last + 1)]
         filled += len(cells)
-    return ExpenditurePanel._of_columns(months, columns, filled)
+    panel = ExpenditurePanel(months, columns)
+    missing = len(columns) * len(months) - filled
+    if missing:
+        warnings.warn(
+            f"{missing} category-month cells had no records and were set to 0",
+            MissingCellWarning,
+            stacklevel=stacklevel,
+        )
+    return panel
 
 
 def base_period(
@@ -441,27 +407,27 @@ def _expenditure_rows(
             raise MalformedRecordError(line, "empty category")
         raw_amount = raw_amount.strip()
         try:
-            amount = Decimal(raw_amount)
-        except InvalidOperation:
+            amount = Decimal(_plain(raw_amount))
+        except (ValueError, InvalidOperation):
             raise MalformedRecordError(line, f"bad amount {raw_amount!r}")
         if not amount.is_finite():
             raise NonFiniteAmountError(f"line {line}: non-finite amount {raw_amount!r}")
         yield line, date, category, amount
 
 
-def load_expenditures(path, allow_negative: bool = False) -> list[DailyExpenditureRecord]:
-    """Read daily expenditure records from ``expenditures.csv``.
-
-    Prefer :func:`read_expenditure_panel` when only monthly totals are
-    needed; it applies the same checks without holding every record.
-    """
-    records = []
+def load_expenditures(path) -> list[tuple[int, dt.date, CategoryId, Decimal]]:
+    """The checked (line, date, category, amount) records of ``expenditures.csv``,
+    signs unchecked: the first half of :func:`read_expenditure_panel`'s row reader.
+    Kept only for ``bench/run.py`` and ``bench/tracing.py``, until ROADMAP item 2."""
     with _table(path, _EXPENDITURE_HEADER) as rows:
-        for line, date, category, amount in _expenditure_rows(rows):
-            if amount < _ZERO and not allow_negative:
-                raise MalformedRecordError(line, f"negative amount {str(amount)!r}")
-            records.append(DailyExpenditureRecord(date, category, amount, line))
-    return records
+        return list(_expenditure_rows(rows))
+
+
+def aggregate_daily(rows: Iterable[tuple], allow_negative: bool = False) -> ExpenditurePanel:
+    """The panel of :func:`load_expenditures`' records, with the sign check: the
+    second half of :func:`read_expenditure_panel`'s row reader. Kept as a name
+    only for ``bench/run.py`` and ``bench/tracing.py``, until ROADMAP item 2."""
+    return _panel_of(_fold(rows, allow_negative))
 
 
 def load_weights(path) -> WeightVector:
@@ -482,7 +448,7 @@ def load_weights(path) -> WeightVector:
             if item in raw:
                 raise SchemaError("item", line, f"duplicate item {item!r}")
             try:
-                raw[item] = float(value)
+                raw[item] = float(_plain(value))
             except ValueError:
                 raise SchemaError("weight", line, f"bad weight {value!r}")
             if not math.isfinite(raw[item]):
@@ -523,7 +489,7 @@ def load_prices(path) -> dict[ItemId, PriceRelativeSeries]:
                 except ValueError:
                     raise SchemaError("period", line, f"bad period {raw_period!r}")
             try:
-                rel = float(raw_rel)
+                rel = float(_plain(raw_rel))
             except ValueError:
                 raise SchemaError("relative", line, f"bad relative {raw_rel!r}")
             if not 0 < rel < math.inf:  # also nan

@@ -6,7 +6,7 @@ import datetime as dt
 import re
 from dataclasses import dataclass
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -24,7 +24,7 @@ class Month:
     @classmethod
     def parse(cls, text: str) -> "Month":
         """Parse the 'YYYY-MM' form used in all file formats."""
-        m = _MONTH_RE.match(text.strip())
+        m = _MONTH_RE.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"expected a month as YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))

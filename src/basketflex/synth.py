@@ -28,7 +28,7 @@ from .core import WeightVector, normalize_weights
 from .errors import (
     MONTH, STRING, InvalidEconomySpecError, MonthOutOfRangeError, check_shape, parses,
 )
-from .ingest import AMOUNT_LIMIT
+from .ingest import AMOUNT_LIMIT, _plain
 from .periods import Month, month_range
 
 _PREC = 50
@@ -376,10 +376,10 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
 
 
 def _decimal(value) -> Decimal:
-    """A finite decimal from a JSON string or number (not a bool)."""
+    """A finite decimal from a JSON string, in ASCII without ``_``, or number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise TypeError(value)
-    d = Decimal(str(value))
+    d = Decimal(_plain(str(value)))
     if not d.is_finite():
         raise ValueError(value)
     return d

@@ -1,4 +1,5 @@
 import datetime as dt
+import io
 import json
 import os
 import subprocess
@@ -28,8 +29,7 @@ def israel_spec():
 def example_inputs(israel_spec):
     weights = ingest.load_weights(EXAMPLE_DIR / "weights.csv")
     prices = ingest.load_prices(EXAMPLE_DIR / "prices.csv")
-    records = ingest.load_expenditures(EXAMPLE_DIR / "expenditures.csv")
-    panel = ingest.aggregate_daily(records)
+    panel = ingest.read_expenditure_panel(EXAMPLE_DIR / "expenditures.csv")
     return weights, prices, panel, israel_spec
 
 
@@ -60,6 +60,15 @@ def fixed_april_result(example_config, example_inputs):
     weights, prices, panel, spec = example_inputs
     config = dataclasses.replace(example_config, fixed_weight_month=Month(2020, 4))
     return analysis.run_scenario(config, weights, prices, panel, spec)
+
+
+def panel_of(totals: dict) -> ingest.ExpenditurePanel:
+    """The panel of ``{(category, month): total}``, read from a ledger with one
+    record per cell, on the month's first day; negative amounts are allowed."""
+    text = "date,category,amount\n" + "".join(
+        f"{month.first_day()},{category},{total}\n" for (category, month), total in totals.items()
+    )
+    return ingest.read_expenditure_panel(io.StringIO(text), allow_negative=True)
 
 
 def run_cli(*args: str, cwd=None, env=None) -> subprocess.CompletedProcess:

@@ -23,10 +23,9 @@ from basketflex.core import (
     normalize_weights,
     weighting_bias,
 )
-from basketflex.ingest import ExpenditurePanel
 from basketflex.periods import Month, month_range
 
-from conftest import run_cli
+from conftest import panel_of, run_cli
 
 M = Month(2020, 3)
 
@@ -121,7 +120,7 @@ def random_economy(rng: random.Random) -> synth.SyntheticEconomySpec:
     )
 
 
-def test_oracle_equivalence_200_random_economies():
+def test_oracle_equivalence_200_random_economies(tmp_path):
     rng = random.Random(2020)
     t0 = time.perf_counter()
     worst = 0.0
@@ -129,10 +128,11 @@ def test_oracle_equivalence_200_random_economies():
         economy = random_economy(rng)
         files = synth.generate(economy)
         weights = ingest.load_weights(io.StringIO(files.weights_csv))
-        panel = ingest.aggregate_daily(
-            ingest.load_expenditures(io.StringIO(files.expenditures_csv))
-        )
-        # the one-pass reader `run` uses must give the same panel
+        ledger = tmp_path / "expenditures.csv"
+        ledger.write_text(files.expenditures_csv, newline="")
+        panel = ingest.read_expenditure_panel(ledger)
+        # the row reader, which `run` takes for what the block reader declines,
+        # must give the same panel
         streamed = ingest.read_expenditure_panel(io.StringIO(files.expenditures_csv))
         assert streamed == panel
         spend = synth.monthly_spend(economy)
@@ -235,7 +235,7 @@ def test_crosswalk_conservation_exact(israel_spec):
         totals = {
             (c, m): D(rng.randint(0, 10**8)) / 100 for c in consumed for m in months
         }
-        panel = ExpenditurePanel(months, totals)
+        panel = panel_of(totals)
         for m in months:
             pooled = sum(
                 (panel.total(c, m) for cats in pools.values() for c in cats), D(0)

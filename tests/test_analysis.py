@@ -29,9 +29,7 @@ def load_economy_inputs(economy: synth.SyntheticEconomySpec):
     files = synth.generate(economy)
     weights = ingest.load_weights(io.StringIO(files.weights_csv))
     prices = ingest.load_prices(io.StringIO(files.prices_csv))
-    panel = ingest.aggregate_daily(
-        ingest.load_expenditures(io.StringIO(files.expenditures_csv))
-    )
+    panel = ingest.read_expenditure_panel(io.StringIO(files.expenditures_csv))
     return weights, prices, panel, crosswalk.identity_spec(panel.categories)
 
 

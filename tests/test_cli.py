@@ -4,6 +4,7 @@ import hashlib
 import json
 import operator
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -375,6 +376,47 @@ def test_price_relative_at_the_limit_exits_2_with_line(example_dir, tmp_path, re
     assert not (tmp_path / "out" / "scenario_result.json").exists()
 
 
+def _prices_ten_years_on(example_dir, tmp_path) -> dict:
+    text = (example_dir / "prices.csv").read_text()
+    (tmp_path / "prices.csv").write_text(
+        re.sub(r",(\d{4})-", lambda m: f",{int(m[1]) + 10}-", text)
+    )
+    return {"prices": str(tmp_path / "prices.csv")}
+
+
+def _no_base_restaurants(example_dir, tmp_path) -> dict:
+    lines = (example_dir / "expenditures.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "expenditures.csv").write_text(
+        "".join(line for line in lines if not re.match("2020-0[12]-..,restaurants,", line))
+    )
+    return {"expenditures": str(tmp_path / "expenditures.csv")}
+
+
+@pytest.mark.parametrize("inputs, changes, error", [
+    (_prices_ten_years_on, {}, "NoOverlappingPeriodsError"),
+    (_no_base_restaurants, {}, "ZeroBaseError"),
+    (_no_base_restaurants, {"per_day_base": True}, "ZeroBaseError"),
+    # two faults: the first that `run` meets is the one reported
+    (_no_base_restaurants, {"core_exclude": ["nope"]}, "ZeroBaseError"),
+    (_prices_ten_years_on, {"core_exclude": ["nope"]}, "NoOverlappingPeriodsError"),
+    (None, {"core_exclude": ["nope"], "fixed_weight_month": "2030-01"},
+     "FixedMonthOutOfRangeError"),
+    (None, {"core_exclude": ["nope"], "base_months": ["2019-01"]}, "BaseMonthMissingError"),
+])
+def test_validate_and_run_report_the_same_error(example_dir, tmp_path, inputs, changes, error):
+    if inputs is not None:
+        changes = {**inputs(example_dir, tmp_path), **changes}
+    manifest = _manifest_file(example_dir, tmp_path, **changes)
+    reports = []
+    for command, out in (("run", ("--out", str(tmp_path / "out"))), ("validate", ())):
+        proc = run_cli(command, "--manifest", manifest, *out)
+        assert proc.returncode == 2, (command, proc.stdout, proc.stderr)
+        assert "ok:" not in proc.stdout
+        reports.append(json.loads(proc.stderr.strip().splitlines()[-1]))
+    assert reports[0] == reports[1]
+    assert reports[0]["error"] == error and "internal" not in reports[0]
+
+
 def test_validate_reports_findings(example_dir, tmp_path):
     broken = tmp_path / "broken.yaml"
     broken.write_text(
@@ -561,6 +603,26 @@ def test_unusable_out_path_exits_2(example_dir, example_result_text, tmp_path, c
     assert list(tmp_path.rglob(".tmp-*")) == []
 
 
+@pytest.mark.parametrize("command, directory, kept", [
+    ("generate", "prices.csv", "weights.csv"),
+    ("run", "bias.csv", "scenario_result.json"),
+])
+def test_an_output_that_is_a_directory_replaces_no_file(example_dir, tmp_path, command,
+                                                         directory, kept):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / kept).write_text("previous\n")
+    (out / directory).mkdir()
+    if command == "generate":
+        args = ["generate", "--economy", str(example_dir / "economy.json")]
+    else:
+        args = ["run", "--manifest", str(example_dir / "manifest.json")]
+    proc = run_cli(*args, "--out", str(out))
+    assert "Is a directory" in _input_error_report(proc, out / directory)["message"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([kept, directory])
+    assert (out / kept).read_text() == "previous\n"
+
+
 @pytest.mark.parametrize("extra, flags, bad_line", [
     ("2020-03-05,fuel,1e999999999\n", (), 610),
     ("2020-03-05,fuel,-1e999999999\n", ("--allow-negative-amounts",), 610),
@@ -608,7 +670,7 @@ print(len(basketflex.__all__))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == 40
+    assert int(proc.stdout) == 39
 
 
 @pytest.fixture(scope="module")

@@ -19,19 +19,16 @@ from basketflex.errors import (
     ZeroBaseError,
 )
 from basketflex.ingest import ExpenditurePanel
-from basketflex.periods import Month, month_range
+from basketflex.periods import Month
 
+from conftest import panel_of
 from test_cli import GOLDEN_SHA256, _paths
 
 JAN, FEB, MAR = Month(2020, 1), Month(2020, 2), Month(2020, 3)
 
 
 def make_panel(by_category: dict[str, dict[Month, D]]) -> ExpenditurePanel:
-    months = sorted({m for cells in by_category.values() for m in cells})
-    totals = {
-        (c, m): v for c, cells in by_category.items() for m, v in cells.items()
-    }
-    return ExpenditurePanel(month_range(months[0], months[-1]), totals)
+    return panel_of({(c, m): v for c, cells in by_category.items() for m, v in cells.items()})
 
 
 def two_item_spec():

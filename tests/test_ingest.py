@@ -1,4 +1,3 @@
-import datetime as dt
 import io
 import random
 import tracemalloc
@@ -26,33 +25,38 @@ from basketflex.errors import (
     WeightSumOutOfRangeError,
     WeightSumWarning,
 )
-from basketflex.ingest import DailyExpenditureRecord, aggregate_daily, base_period
+from basketflex.ingest import ExpenditurePanel, base_period, read_expenditure_panel
 from basketflex.periods import Month
 
-
-def rec(iso_date, category, amount):
-    return DailyExpenditureRecord(dt.date.fromisoformat(iso_date), category, D(amount))
+from conftest import panel_of
 
 
-# --- aggregate_daily --------------------------------------------------------
+def ledger(*records):
+    """A text stream of ``expenditures.csv`` holding (date, category, amount) records."""
+    return io.StringIO("date,category,amount\n" + "".join(f"{d},{c},{a}\n" for d, c, a in records))
+
+
+# --- monthly totals -----------------------------------------------------------
 
 
 def test_aggregate_sums_within_month():
-    panel = aggregate_daily([rec("2020-01-05", "food", "10"), rec("2020-01-20", "food", "15")])
+    panel = read_expenditure_panel(
+        ledger(("2020-01-05", "food", "10"), ("2020-01-20", "food", "15"))
+    )
     assert panel.total("food", Month(2020, 1)) == D("25")
     assert panel.months == (Month(2020, 1),)
 
 
 def test_aggregate_empty_stream_errors():
     with pytest.raises(EmptyInputError):
-        aggregate_daily([])
+        read_expenditure_panel(ledger())
 
 
 def test_aggregate_gap_month_warns_and_zero_fills():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        panel = aggregate_daily(
-            [rec("2020-01-05", "food", "10"), rec("2020-03-01", "food", "3")]
+        panel = read_expenditure_panel(
+            ledger(("2020-01-05", "food", "10"), ("2020-03-01", "food", "3"))
         )
     assert any(
         issubclass(w.category, GapWarning) and "2020-02" in str(w.message)
@@ -64,12 +68,12 @@ def test_aggregate_gap_month_warns_and_zero_fills():
 
 def test_aggregate_sparse_category_warns_and_zero_fills():
     with pytest.warns(MissingCellWarning):
-        panel = aggregate_daily(
-            [
-                rec("2020-01-05", "food", "10"),
-                rec("2020-01-06", "fuel", "4"),
-                rec("2020-02-01", "food", "11"),
-            ]
+        panel = read_expenditure_panel(
+            ledger(
+                ("2020-01-05", "food", "10"),
+                ("2020-01-06", "fuel", "4"),
+                ("2020-02-01", "food", "11"),
+            )
         )
     assert panel.total("fuel", Month(2020, 2)) == D(0)
 
@@ -77,40 +81,37 @@ def test_aggregate_sparse_category_warns_and_zero_fills():
 def test_aggregate_is_permutation_invariant():
     rng = random.Random(11)
     records = [
-        rec(f"2020-0{m}-{d:02d}", cat, f"{rng.randint(0, 10**7)}.{rng.randint(0, 99):02d}")
+        (f"2020-0{m}-{d:02d}", cat, f"{rng.randint(0, 10**7)}.{rng.randint(0, 99):02d}")
         for m in (1, 2, 3)
         for d in range(1, 25)
         for cat in ("a", "b")
     ]
-    reference = aggregate_daily(records)
+    reference = read_expenditure_panel(ledger(*records))
     for _ in range(5):
         rng.shuffle(records)
-        assert aggregate_daily(records) == reference
+        assert read_expenditure_panel(ledger(*records)) == reference
 
 
 def test_aggregate_rejects_negative_unless_allowed():
-    records = [rec("2020-01-05", "food", "10"), rec("2020-01-06", "food", "-4")]
+    records = [("2020-01-05", "food", "10"), ("2020-01-06", "food", "-4")]
     with pytest.raises(MalformedRecordError):
-        aggregate_daily(records)
-    panel = aggregate_daily(records, allow_negative=True)
+        read_expenditure_panel(ledger(*records))
+    panel = read_expenditure_panel(ledger(*records), allow_negative=True)
     assert panel.total("food", Month(2020, 1)) == D("6")
 
 
 def test_aggregate_negative_error_names_file_line_only_when_known():
+    # a text stream's undecodable bytes have no known line
+    stream = io.TextIOWrapper(io.BytesIO(b"date,category,amount\n2020-01-05,caf\xe9,1\n"),
+                              encoding="utf-8", newline="")
     with pytest.raises(MalformedRecordError) as exc:
-        aggregate_daily([rec("2020-01-05", "food", "10"), rec("2020-01-06", "food", "-4")])
+        read_expenditure_panel(stream)
     assert exc.value.line is None
     assert not str(exc.value).startswith("line")
     text = "date,category,amount\n2020-01-05,food,10\n# refund\n2020-01-06,food,-4\n"
-    records = ingest.load_expenditures(io.StringIO(text), allow_negative=True)
     with pytest.raises(MalformedRecordError) as exc:
-        aggregate_daily(records)
+        read_expenditure_panel(io.StringIO(text))
     assert exc.value.line == 4
-
-
-def test_record_rejects_non_finite_amount():
-    with pytest.raises(NonFiniteAmountError):
-        DailyExpenditureRecord(dt.date(2020, 1, 1), "food", D("NaN"))
 
 
 @pytest.mark.parametrize("amount, allow_negative", [
@@ -119,13 +120,15 @@ def test_record_rejects_non_finite_amount():
     ("-1e15", True),
     ("9e999999", False),
 ])
-def test_amount_outside_the_bound_names_its_line(amount, allow_negative):
+def test_amount_outside_the_bound_names_its_line(tmp_path, amount, allow_negative):
     text = f"date,category,amount\n2020-01-05,food,10\n2020-01-06,food,{amount}\n"
     with pytest.raises(MalformedRecordError, match="1E\\+15") as exc:
-        ingest.read_expenditure_panel(io.StringIO(text), allow_negative=allow_negative)
+        read_expenditure_panel(io.StringIO(text), allow_negative=allow_negative)
     assert exc.value.line == 3
+    path = tmp_path / "expenditures.csv"
+    path.write_text(text, newline="")
     with pytest.raises(MalformedRecordError):
-        aggregate_daily([rec("2020-01-06", "food", amount)], allow_negative=allow_negative)
+        read_expenditure_panel(path, allow_negative=allow_negative)
 
 
 def test_amount_just_inside_the_bound_is_kept():
@@ -133,15 +136,15 @@ def test_amount_just_inside_the_bound_is_kept():
         "date,category,amount\n"
         "2020-01-05,food,999999999999999.99\n2020-01-06,food,-999999999999999.99\n"
     )
-    panel = ingest.read_expenditure_panel(io.StringIO(text), allow_negative=True)
+    panel = read_expenditure_panel(io.StringIO(text), allow_negative=True)
     assert panel.total("food", Month(2020, 1)) == 0
 
 
 def test_panel_table_keeps_its_contract():
     jan, feb, mar = Month(2020, 1), Month(2020, 2), Month(2020, 3)
-    cells = {("b", feb): D("2"), ("a", jan): D("1"), ("a", mar): D("9")}
+    cells = {("b", feb): D("2"), ("a", jan): D("1")}
     with pytest.warns(MissingCellWarning, match="2 category-month cells"):
-        panel = ingest.ExpenditurePanel([jan, feb], cells)
+        panel = panel_of(cells)
     assert panel.categories == ("a", "b")
     assert panel.total("a", jan) == D("1") and panel.total("b", feb) == D("2")
     assert panel.total("a", feb) == 0 and panel.total("b", jan) == 0
@@ -149,36 +152,48 @@ def test_panel_table_keeps_its_contract():
         with pytest.raises(KeyError):
             panel.total(category, month)
     with pytest.warns(MissingCellWarning):
-        assert panel == ingest.ExpenditurePanel([jan, feb], dict(reversed(cells.items())))
-        assert panel != ingest.ExpenditurePanel([jan, feb], {**cells, ("b", jan): D("3")})
+        assert panel == panel_of(dict(reversed(cells.items())))
+        assert panel != panel_of({**cells, ("b", jan): D("3")})
     text = "date,category,amount\n2020-01-31,a,1\n2020-02-01,b,2\n"
     with pytest.warns(MissingCellWarning):
-        assert ingest.read_expenditure_panel(io.StringIO(text)) == panel
+        assert read_expenditure_panel(io.StringIO(text)) == panel
     with pytest.raises(NegativeTotalError) as exc:
-        ingest.ExpenditurePanel(
-            [jan, feb], {("b", jan): D("-2"), ("a", jan): D("1"), ("a", feb): D("-1")}
-        )
+        panel_of({("b", jan): D("-2"), ("a", jan): D("1"), ("a", feb): D("-1")})
+    assert (exc.value.category, exc.value.period) == ("a", feb)
+
+
+def test_panel_constructor_checks_its_table():
+    jan, feb = Month(2020, 1), Month(2020, 2)
+    panel = ExpenditurePanel([jan, feb], {"a": [D(1), D(0)], "b": [D(0), D(2)]})
+    assert panel.categories == ("a", "b") and panel.total("b", feb) == D(2)
+    with pytest.raises(EmptyInputError, match="no months"):
+        ExpenditurePanel([], {"a": []})
+    with pytest.raises(ValueError, match="consecutive"):
+        ExpenditurePanel([jan, Month(2020, 3)], {"a": [D(1), D(1)]})
+    with pytest.raises(EmptyInputError, match="no categories"):
+        ExpenditurePanel([jan], {})
+    with pytest.raises(ValueError, match="'a' has 1 totals for 2 months"):
+        ExpenditurePanel([jan, feb], {"a": [D(1)]})
+    with pytest.raises(NegativeTotalError) as exc:
+        ExpenditurePanel([jan, feb], {"a": [D(1), D(-1)]})
     assert (exc.value.category, exc.value.period) == ("a", feb)
 
 
 def test_panel_warnings_keep_their_stacklevel(tmp_path):
-    jan = Month(2020, 1)
+    # both warnings name the reader's caller, whichever reader ran
     text = "date,category,amount\n2020-01-05,a,1\n2020-03-05,b,1\n"
     path = tmp_path / "expenditures.csv"
     path.write_text(text, newline="")
     assert ingest._block_sums(path, False) is not None  # the path takes the block reader
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ingest.ExpenditurePanel([jan, Month(2020, 2)], {("a", jan): D("1")})
-        ingest.read_expenditure_panel(io.StringIO(text))
-        ingest.read_expenditure_panel(path)
+        read_expenditure_panel(io.StringIO(text))
+        read_expenditure_panel(path)
+        ingest.aggregate_daily(ingest.load_expenditures(path))
     assert [(w.category, w.filename) for w in caught] == [
-        (MissingCellWarning, __file__),  # the constructor's caller
-        *[
-            (GapWarning, __file__),  # the reader's caller
-            (MissingCellWarning, ingest.__file__),  # the panel's tail
-        ] * 2,
-    ]
+        (GapWarning, __file__),
+        (MissingCellWarning, __file__),
+    ] * 3
 
 
 def test_read_panel_peak_stays_near_the_panel(tmp_path):
@@ -204,8 +219,8 @@ def test_read_panel_peak_stays_near_the_panel(tmp_path):
 
 
 def two_month_panel():
-    return aggregate_daily(
-        [rec("2020-01-10", "food", "100"), rec("2020-02-10", "food", "120")]
+    return read_expenditure_panel(
+        ledger(("2020-01-10", "food", "100"), ("2020-02-10", "food", "120"))
     )
 
 
@@ -226,12 +241,12 @@ def test_base_missing_month_errors():
 
 def test_base_absent_category_is_zero():
     with pytest.warns(MissingCellWarning):
-        panel = aggregate_daily(
-            [
-                rec("2020-01-10", "food", "100"),
-                rec("2020-02-10", "food", "120"),
-                rec("2020-03-01", "fuel", "5"),
-            ]
+        panel = read_expenditure_panel(
+            ledger(
+                ("2020-01-10", "food", "100"),
+                ("2020-02-10", "food", "120"),
+                ("2020-03-01", "fuel", "5"),
+            )
         )
     base = base_period(panel, [Month(2020, 1), Month(2020, 2)])
     assert base["fuel"] == D(0)
@@ -364,28 +379,28 @@ def test_load_prices_duplicate_period_errors():
         ingest.load_prices(io.StringIO(text))
 
 
-# --- load_expenditures ------------------------------------------------------
+# --- the ledger's records -------------------------------------------------------
 
 
 def test_load_expenditures_parses_and_reports_lines():
     text = "date,category,amount\n2020-01-05,food,12.50\n# comment\nnot-a-date,food,1\n"
     with pytest.raises(MalformedRecordError) as exc:
-        ingest.load_expenditures(io.StringIO(text))
+        read_expenditure_panel(io.StringIO(text))
     assert exc.value.line == 4
 
 
 def test_load_expenditures_negative_gate():
-    text = "date,category,amount\n2020-01-05,food,-2\n"
+    text = "date,category,amount\n2020-01-05,food,-2\n2020-01-06,food,5\n"
     with pytest.raises(MalformedRecordError):
-        ingest.load_expenditures(io.StringIO(text))
-    records = ingest.load_expenditures(io.StringIO(text), allow_negative=True)
-    assert records[0].amount == D("-2")
+        read_expenditure_panel(io.StringIO(text))
+    panel = read_expenditure_panel(io.StringIO(text), allow_negative=True)
+    assert panel.total("food", Month(2020, 1)) == D("3")
 
 
 def test_load_expenditures_rejects_non_finite():
     text = "date,category,amount\n2020-01-05,food,Infinity\n"
     with pytest.raises(NonFiniteAmountError):
-        ingest.load_expenditures(io.StringIO(text))
+        read_expenditure_panel(io.StringIO(text))
 
 
 # --- reader shared by the three files -------------------------------------
@@ -429,10 +444,13 @@ def test_quoted_field_may_span_lines():
         "not-a-date,food,1\n"
     )
     with pytest.raises(MalformedRecordError) as exc:
-        ingest.load_expenditures(io.StringIO(text))
+        read_expenditure_panel(io.StringIO(text))
     assert exc.value.line == 5
-    records = ingest.load_expenditures(io.StringIO(text.rsplit("not-a-date", 1)[0]))
-    assert [(r.category, r.line) for r in records] == [("food,\nstores", 2), ("fuel", 4)]
+    text = text.rsplit("not-a-date", 1)[0]
+    assert read_expenditure_panel(io.StringIO(text)).categories == ("food,\nstores", "fuel")
+    with pytest.raises(MalformedRecordError) as exc:
+        read_expenditure_panel(io.StringIO(text.replace("fuel,1", "fuel,x")))
+    assert exc.value.line == 4
     weights = ingest.load_weights(io.StringIO('item,weight\n"a\nb",0.5\nc,0.5\n'))
     assert weights.shares == {"a\nb": 0.5, "c": 0.5}
 
@@ -459,8 +477,14 @@ def _ledger_lines() -> list[str]:
     return synth.generate(economy).expenditures_csv.splitlines()
 
 
-def test_panel_reader_matches_load_then_aggregate():
+def test_panel_reader_matches_load_then_aggregate(tmp_path):
+    # the two halves of the row reader, as the benchmark times them, on the
+    # block reader's plain file and on the row reader's text streams
     header, *rows = _ledger_lines()
+    path = tmp_path / "expenditures.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", newline="")
+    assert ingest._block_sums(path, False) is not None
+    assert ingest.aggregate_daily(ingest.load_expenditures(path)) == read_expenditure_panel(path)
     rng = random.Random(5)
     for _ in range(3):
         rng.shuffle(rows)
@@ -470,23 +494,25 @@ def test_panel_reader_matches_load_then_aggregate():
             if rng.random() < 0.1:
                 lines.append(rng.choice(["", "   ", "# note, with comma", '  # "quoted']))
         text = "\n".join(lines) + "\n"
-        expect = aggregate_daily(ingest.load_expenditures(io.StringIO(text)))
-        assert ingest.read_expenditure_panel(io.StringIO(text)) == expect
+        expect = ingest.aggregate_daily(ingest.load_expenditures(io.StringIO(text)))
+        assert read_expenditure_panel(io.StringIO(text)) == expect
 
 
 @pytest.mark.parametrize(
     "bad_row",
     ["2020-13-01,i0,1", "2020-01-05,,1", "2020-01-05,i0,x", "2020-01-05,i0", "2020-01-05,i0,-1"],
 )
-def test_panel_reader_reports_the_same_error_line(bad_row):
+def test_panel_reader_reports_the_same_error_line(tmp_path, bad_row):
     header, *rows = _ledger_lines()
     lines = [header, "# comment", *rows[:40], "", bad_row, *rows[40:]]
     text = "\n".join(lines) + "\n"
-    with pytest.raises(MalformedRecordError) as two_step:
-        aggregate_daily(ingest.load_expenditures(io.StringIO(text)))
-    with pytest.raises(MalformedRecordError) as one_pass:
-        ingest.read_expenditure_panel(io.StringIO(text))
-    assert one_pass.value.line == two_step.value.line == lines.index(bad_row) + 1
+    path = tmp_path / "expenditures.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(MalformedRecordError) as from_path:
+        read_expenditure_panel(path)
+    with pytest.raises(MalformedRecordError) as from_stream:
+        read_expenditure_panel(io.StringIO(text))
+    assert from_stream.value.line == from_path.value.line == lines.index(bad_row) + 1
 
 
 # --- block reader ---------------------------------------------------------------
@@ -606,3 +632,24 @@ def test_block_reader_declines_a_line_longer_than_two_blocks(tmp_path):
     path.write_text(f"date,category,amount\n2020-01-05,a,1\n2020-01-06,{long},2\n", newline="")
     assert ingest._block_sums(path, False) is None
     assert ingest.read_expenditure_panel(path).categories == ("a", long)
+
+
+# "1_000" and Arabic-Indic "12", which float() and Decimal() both read
+@pytest.mark.parametrize("number", ["1_000", "\u0661\u0662"])
+def test_number_fields_take_only_plain_ascii(tmp_path, number):
+    path = tmp_path / "expenditures.csv"
+    path.write_text(f"date,category,amount\n2020-01-05,a,1\n2020-01-06,a,{number}\n",
+                    encoding="utf-8", newline="")
+    assert ingest._block_sums(path, False) is None
+    for source in (path, io.StringIO(path.read_text(encoding="utf-8"))):
+        with pytest.raises(MalformedRecordError, match="line 3: bad amount") as exc:
+            read_expenditure_panel(source)
+        assert exc.value.line == 3
+    with pytest.raises(SchemaError, match="bad weight") as exc:
+        ingest.load_weights(io.StringIO(f"item,weight\na,0.5\nb,{number}\n"))
+    assert (exc.value.line, exc.value.column) == (3, "weight")
+    with pytest.raises(SchemaError, match="bad relative") as exc:
+        ingest.load_prices(io.StringIO(f"item,period,relative\na,2020-01,{number}\n"))
+    assert (exc.value.line, exc.value.column) == (2, "relative")
+    with pytest.raises(ValueError):
+        synth._decimal(number)

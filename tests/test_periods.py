@@ -12,7 +12,9 @@ def test_parse_and_str_round_trip():
     assert str(m) == "2020-03"
 
 
-@pytest.mark.parametrize("bad", ["2020-3", "202003", "2020-13", "march 2020", ""])
+# the last two in Arabic-Indic digits, which a regex ``\d`` would match
+@pytest.mark.parametrize("bad", ["2020-3", "202003", "2020-13", "march 2020", "",
+                                 "\u0662\u0660\u0662\u0660-01", "2020-\u0660\u0661"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         Month.parse(bad)

@@ -49,9 +49,7 @@ def shock_economy():
 
 def run_pipeline(files: synth.GeneratedFiles, base_months):
     weights = ingest.load_weights(io.StringIO(files.weights_csv))
-    panel = ingest.aggregate_daily(
-        ingest.load_expenditures(io.StringIO(files.expenditures_csv))
-    )
+    panel = ingest.read_expenditure_panel(io.StringIO(files.expenditures_csv))
     base = ingest.base_period(panel, base_months)
     spec = crosswalk.identity_spec(panel.categories)
     return weights, crosswalk.apply(spec, panel, base)
@@ -128,12 +126,8 @@ def test_partition_choice_does_not_change_monthly_totals():
     other = dataclasses.replace(economy, seed=999)
     files_a, files_b = synth.generate(economy), synth.generate(other)
     assert files_a.expenditures_csv != files_b.expenditures_csv
-    panel_a = ingest.aggregate_daily(
-        ingest.load_expenditures(io.StringIO(files_a.expenditures_csv))
-    )
-    panel_b = ingest.aggregate_daily(
-        ingest.load_expenditures(io.StringIO(files_b.expenditures_csv))
-    )
+    panel_a = ingest.read_expenditure_panel(io.StringIO(files_a.expenditures_csv))
+    panel_b = ingest.read_expenditure_panel(io.StringIO(files_b.expenditures_csv))
     assert panel_a == panel_b
 
 
@@ -161,9 +155,7 @@ def test_category_split_conserves_spending():
         seed=5,
     )
     files = synth.generate(economy)
-    panel = ingest.aggregate_daily(
-        ingest.load_expenditures(io.StringIO(files.expenditures_csv))
-    )
+    panel = ingest.read_expenditure_panel(io.StringIO(files.expenditures_csv))
     spend = synth.monthly_spend(economy)["x"]
     for month in economy.horizon():
         left = panel.total("left", month)
@@ -376,3 +368,12 @@ def test_parse_economy_rejects_unconvertible_json():
         synth.parse_economy('{"items": [], "months": 1' + "0" * 5000 + "}")
     with pytest.raises(InvalidEconomySpecError, match="not valid JSON"):
         synth.parse_economy("[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("number", ["1_0", "١٢"])
+def test_economy_decimals_take_only_plain_ascii(number):
+    text = json.dumps({"items": [{"id": "a", "base_price": number}], "months": 3})
+    with pytest.raises(InvalidEconomySpecError) as exc:
+        synth.parse_economy(text)
+    assert exc.value.field == "items[0].base_price"
+    assert synth.parse_economy(text.replace(json.dumps(number), '"10"')).items[0].base_price == 10
