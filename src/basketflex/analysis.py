@@ -21,9 +21,10 @@ import io
 import json
 import logging
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from math import isfinite
 from operator import add
-from typing import Callable, Container, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import crosswalk as cw
 from . import ingest
@@ -97,6 +98,8 @@ class ScenarioConfig:
             )
         if self.annual_method not in ANNUAL_METHODS:
             raise ConfigError(f"annual_method must be one of {ANNUAL_METHODS}")
+        if any("\ud800" <= c <= "\udfff" for c in self.country_label):  # lone surrogates
+            raise ConfigError(f"country label {self.country_label!r} is not valid Unicode")
         last_end = None
         for start, end in self.lockdown_windows:
             if end < start:
@@ -135,10 +138,6 @@ class ScenarioResult:
     bias: tuple[BiasPoint, ...]
     core_bias: tuple[BiasPoint, ...]
 
-    @property
-    def country_label(self) -> str:
-        return self.config.country_label
-
     def series(self, name: str) -> tuple[InflationPoint, ...]:
         if name not in SERIES_NAMES:
             raise KeyError(name)
@@ -153,6 +152,62 @@ class ScenarioResult:
 
 def _month_list(months: Iterable[Month]) -> str:
     return ", ".join(map(str, months)) or "none"
+
+
+class CheckedScenario(NamedTuple):
+    """What ``check_scenario`` hands on to ``crosswalk.apply`` and pricing."""
+
+    base: dict[str, Decimal]
+    prices: dict[ItemId, PriceRelativeSeries]
+    axis: list[Month]
+    core_official: WeightVector
+
+
+def check_scenario(
+    config: ScenarioConfig,
+    weights: WeightVector,
+    prices: Mapping[ItemId, PriceRelativeSeries],
+    panel: ingest.ExpenditurePanel,
+    spec: cw.CrosswalkSpec,
+) -> CheckedScenario:
+    """Make every check ``run`` makes before it computes the relatives.
+
+    In order, it raises SpecInvalidError (the crosswalk's findings against
+    the basket items and the panel's categories), BaseMonthMissingError,
+    ZeroBaseError, MissingPriceRelativeError, NoOverlappingPeriodsError (the
+    price series share no month, or none with the panel),
+    FixedMonthOutOfRangeError, and UnknownItemError or AllItemsExcludedError
+    for the core exclusions. ``validate`` is this check alone; ``run`` goes
+    on to ``crosswalk.apply``, whose NonPositiveRelativeError is its last.
+    """
+    findings = cw.validate(spec, set(weights.shares), panel.categories)
+    if findings:
+        raise SpecInvalidError(findings)
+    base = ingest.base_period(panel, config.base_months, per_day=config.per_day_base)
+    cw.check_base(spec, base)
+    for item in weights.shares:
+        if item not in prices:
+            raise MissingPriceRelativeError(item)
+    basket_prices = {item: prices[item] for item in weights.shares}
+    start = max(s.start for s in basket_prices.values())
+    end = min(s.end for s in basket_prices.values())
+    if end < start:
+        raise NoOverlappingPeriodsError("price series share no common months")
+    priced_months = month_range(start, end)
+    panel_months = set(panel.months)
+    axis = [m for m in priced_months if m in panel_months]
+    if not axis:
+        raise NoOverlappingPeriodsError("expenditure panel and price series share no months")
+    if config.fixed_weight_month is not None and config.fixed_weight_month not in axis:
+        raise FixedMonthOutOfRangeError(config.fixed_weight_month)
+    core_official = exclude_items(weights, config.core_exclusions)
+    log.info("scenario axis: %s..%s, %d months", axis[0], axis[-1], len(axis))
+    log.info(
+        "months dropped: no expenditure relatives [%s]; no price relatives [%s]",
+        _month_list(m for m in priced_months if m not in panel_months),
+        _month_list(m for m in panel.months if not start <= m <= end),
+    )
+    return CheckedScenario(base, basket_prices, axis, core_official)
 
 
 def run_scenario(
@@ -171,36 +226,19 @@ def run_scenario(
     and the bias series. When ``config.fixed_weight_month`` is set, adjusted
     weights are frozen at that month's values for every period.
 
-    This is :func:`_expenditure_relatives` followed by :func:`_price_scenario`;
-    ``run`` calls the two steps itself to release the panel before pricing.
+    This is :func:`check_scenario`, ``crosswalk.apply`` and
+    :func:`price_scenario`; ``run`` makes the three calls itself to release
+    the panel before pricing.
     """
-    return _price_scenario(
-        config, weights, prices, _expenditure_relatives(config, weights, panel, spec)
-    )
+    checked = check_scenario(config, weights, prices, panel, spec)
+    relatives = cw.apply(spec, panel, checked.base, per_day=config.per_day_base)
+    return price_scenario(config, weights, checked, relatives)
 
 
-def _expenditure_relatives(
+def price_scenario(
     config: ScenarioConfig,
     weights: WeightVector,
-    panel: ingest.ExpenditurePanel,
-    spec: cw.CrosswalkSpec,
-) -> dict[Month, ExpenditureRelativeVector]:
-    """Each panel month's expenditure relatives against the base period.
-
-    The spec is validated against the basket items and the panel's
-    categories first.
-    """
-    findings = cw.validate(spec, set(weights.shares), panel.categories)
-    if findings:
-        raise SpecInvalidError(findings)
-    base = ingest.base_period(panel, config.base_months, per_day=config.per_day_base)
-    return cw.apply(spec, panel, base, per_day=config.per_day_base)
-
-
-def _price_scenario(
-    config: ScenarioConfig,
-    weights: WeightVector,
-    prices: Mapping[ItemId, PriceRelativeSeries],
+    checked: CheckedScenario,
     relatives: dict[Month, ExpenditureRelativeVector],
 ) -> ScenarioResult:
     """Reweight and price the baskets given each month's expenditure relatives.
@@ -209,16 +247,7 @@ def _price_scenario(
     exist. The core-adjusted vectors, which the result does not keep, are
     built and priced before the other baskets and dropped.
     """
-    basket_prices, priced_months = _basket_prices(weights, prices)
-    start, end = priced_months[0], priced_months[-1]
-    axis = _scenario_axis(config, priced_months, relatives)
-    log.info("scenario axis: %s..%s, %d months", axis[0], axis[-1], len(axis))
-    log.info(
-        "months dropped: no expenditure relatives [%s]; no price relatives [%s]",
-        _month_list(m for m in priced_months if m not in relatives),
-        _month_list(m for m in sorted(relatives) if not start <= m <= end),
-    )
-
+    axis = checked.axis
     if config.fixed_weight_month is not None:
         frozen = adjusted_weights(weights, relatives[config.fixed_weight_month])
         adj_vectors = [replace(frozen, period=m) for m in axis]
@@ -227,8 +256,8 @@ def _price_scenario(
     relatives.clear()
     off_vectors = [replace(weights, period=m) for m in axis]
 
-    core_off = exclude_items(weights, config.core_exclusions)
-    core_prices = {i: s for i, s in basket_prices.items() if i in core_off.shares}
+    core_off = checked.core_official
+    core_prices = {i: s for i, s in checked.prices.items() if i in core_off.shares}
 
     def priced(vectors, prices) -> list[InflationPoint]:
         """One basket's monthly points on the axis, with their annual rates."""
@@ -242,8 +271,8 @@ def _price_scenario(
 
     core_adj_pts = priced([exclude_items(v, config.core_exclusions) for v in adj_vectors],
                           core_prices)
-    official_pts = priced(off_vectors, basket_prices)
-    adjusted_pts = priced(adj_vectors, basket_prices)
+    official_pts = priced(off_vectors, checked.prices)
+    adjusted_pts = priced(adj_vectors, checked.prices)
     core_off_pts = priced([core_off] * len(axis), core_prices)
 
     return ScenarioResult(
@@ -258,34 +287,6 @@ def _price_scenario(
         bias=tuple(weighting_bias(official_pts, adjusted_pts)),
         core_bias=tuple(weighting_bias(core_off_pts, core_adj_pts)),
     )
-
-
-def _scenario_axis(
-    config: ScenarioConfig, priced_months: list[Month], relative_months: Container[Month]
-) -> list[Month]:
-    """The priced months with expenditure relatives; NoOverlappingPeriodsError if
-    there are none, FixedMonthOutOfRangeError if the fixed-weight month is not one."""
-    axis = [m for m in priced_months if m in relative_months]
-    if not axis:
-        raise NoOverlappingPeriodsError("expenditure panel and price series share no months")
-    if config.fixed_weight_month is not None and config.fixed_weight_month not in axis:
-        raise FixedMonthOutOfRangeError(config.fixed_weight_month)
-    return axis
-
-
-def _basket_prices(
-    weights: WeightVector, prices: Mapping[ItemId, PriceRelativeSeries]
-) -> tuple[dict[ItemId, PriceRelativeSeries], list[Month]]:
-    """The basket items' price series, and the months all of them cover."""
-    for item in weights.shares:
-        if item not in prices:
-            raise MissingPriceRelativeError(item)
-    basket_prices = {item: prices[item] for item in weights.shares}
-    start = max(s.start for s in basket_prices.values())
-    end = min(s.end for s in basket_prices.values())
-    if end < start:
-        raise NoOverlappingPeriodsError("price series share no common months")
-    return basket_prices, month_range(start, end)
 
 
 @dataclass(frozen=True)
@@ -344,19 +345,7 @@ def _head_dict(result: ScenarioResult) -> dict:
         "schema": RESULT_SCHEMA,
         "country": cfg.country_label,
         "variant": cfg.variant,
-        "config": {
-            "base_months": [str(m) for m in cfg.base_months],
-            "core_exclusions": sorted(cfg.core_exclusions),
-            "fixed_weight_month": (
-                str(cfg.fixed_weight_month) if cfg.fixed_weight_month else None
-            ),
-            "lockdown_windows": [
-                [start.isoformat(), end.isoformat()]
-                for start, end in cfg.lockdown_windows
-            ],
-            "annual_method": cfg.annual_method,
-            "per_day_base": cfg.per_day_base,
-        },
+        "config": {name: dump(getattr(cfg, name)) for name, (_, dump, _) in _CONFIG_FIELDS},
         "periods": [str(m) for m in result.periods],
         "in_lockdown": [cfg.in_lockdown(m) for m in result.periods],
     }
@@ -382,16 +371,39 @@ def result_to_dict(result: ScenarioResult) -> dict:
 
 
 # JSON shape of a result document, in the form ``errors.check_shape`` reads.
-_NUMBER_OR_NULL = ("a number or null", lambda v: v is None or type(v) in (int, float))
+_NUMBER_OR_NULL = ("a finite number or null", lambda v: v is None or NUMBER[1](v))
 _NUMBERS = (
-    "an object of numbers",
-    lambda v: isinstance(v, dict) and {*map(type, v.values())} <= {int, float},
+    "an object of finite numbers",
+    lambda v: isinstance(v, dict) and all(map(NUMBER[1], v.values())),
 )
 _IS_DATE = parses(parse_date)
 _DATE_PAIR = (
     "a [start, end] pair of dates",
     lambda v: isinstance(v, list) and len(v) == 2 and all(map(_IS_DATE, v)),
 )
+
+
+# Each ScenarioConfig field but country_label: the shape of its JSON value, the
+# JSON value of the field and the field of the JSON value. A key ending in "?"
+# may be absent from the result's ``config``, and then takes the default.
+_CONFIG = {
+    "base_months": ([MONTH], lambda months: list(map(str, months)),
+                    lambda texts: tuple(map(Month.parse, texts))),
+    "core_exclusions?": (STRINGS, sorted, frozenset),
+    "fixed_weight_month?": (
+        ("a month or null", lambda v: v is None or MONTH[1](v)),
+        lambda month: None if month is None else str(month),
+        lambda text: None if text is None else Month.parse(text),
+    ),
+    "lockdown_windows?": (
+        [_DATE_PAIR],
+        lambda windows: [[start.isoformat(), end.isoformat()] for start, end in windows],
+        lambda pairs: tuple((parse_date(a), parse_date(b)) for a, b in pairs),
+    ),
+    "annual_method?": (STRING, str, str),
+    "per_day_base?": (BOOL, bool, bool),
+}
+_CONFIG_FIELDS = [(key.rstrip("?"), row) for key, row in _CONFIG.items()]
 _POINT = {"period": MONTH, "monthly_pct": NUMBER, "contributions?": _NUMBERS,
           "annual_pct?": _NUMBER_OR_NULL}
 _BIAS = {"period": MONTH, "monthly_pp": NUMBER, "annual_pp?": _NUMBER_OR_NULL}
@@ -400,14 +412,7 @@ _RESULT_SHAPE = {
     # first, so that a document of another schema is named as such
     "schema": (repr(RESULT_SCHEMA), lambda v: v == RESULT_SCHEMA),
     "country?": STRING,
-    "config": {
-        "base_months": [MONTH],
-        "core_exclusions?": STRINGS,
-        "fixed_weight_month?": ("a month or null", lambda v: v is None or MONTH[1](v)),
-        "lockdown_windows?": [_DATE_PAIR],
-        "annual_method?": STRING,
-        "per_day_base?": BOOL,
-    },
+    "config": {key: shape for key, (shape, _, _) in _CONFIG.items()},
     "periods": [MONTH],
     "weights": {"official": [_VECTOR], "adjusted": [_VECTOR]},
     "series": {name: [_POINT] for name in SERIES_NAMES},
@@ -426,19 +431,8 @@ def result_from_dict(doc: Mapping) -> ScenarioResult:
     check_shape(doc, _RESULT_SHAPE, ResultFieldError)
     cfg_doc = doc["config"]
     config = ScenarioConfig(
-        base_months=tuple(Month.parse(m) for m in cfg_doc["base_months"]),
-        core_exclusions=frozenset(cfg_doc.get("core_exclusions", ())),
-        fixed_weight_month=(
-            Month.parse(cfg_doc["fixed_weight_month"])
-            if cfg_doc.get("fixed_weight_month")
-            else None
-        ),
-        lockdown_windows=tuple(
-            (parse_date(a), parse_date(b)) for a, b in cfg_doc.get("lockdown_windows", ())
-        ),
         country_label=doc.get("country", ""),
-        annual_method=cfg_doc.get("annual_method", "chained"),
-        per_day_base=cfg_doc.get("per_day_base", False),
+        **{name: read(cfg_doc[name]) for name, (_, _, read) in _CONFIG_FIELDS if name in cfg_doc},
     )
 
     def points(entries) -> tuple[InflationPoint, ...]:

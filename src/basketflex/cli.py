@@ -29,7 +29,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from . import analysis, core, crosswalk, ingest
+from . import analysis, crosswalk, ingest
 from .analysis import RESULT_JSON, ScenarioConfig
 from .errors import (
     BOOL,
@@ -233,10 +233,10 @@ class RunManifest(SimpleNamespace):
     ``inputs`` maps each input file's field to its path (None when none is
     given) and each run option is an attribute. ``config`` builds the
     scenario configuration when called, so that ``check`` reports missing
-    input files before a ``ConfigError``.
+    input files before a ``ConfigError``; ``check`` returns the configuration.
     """
 
-    def check(self, for_run: bool = True) -> None:
+    def check(self, for_run: bool = True) -> ScenarioConfig:
         if for_run and self.out is None:
             raise BasketflexError("no output directory given (flag or manifest)")
         for name, p in self.inputs.items():
@@ -244,9 +244,9 @@ class RunManifest(SimpleNamespace):
                 raise BasketflexError(f"no {name} file given (flag or manifest)")
             if not p.is_file():
                 raise BasketflexError(f"{name} file not found: {p}")
-        self.config()  # ConfigError here, before any input file is read
+        config = self.config()  # ConfigError here, before any input file is read
         if not for_run:
-            return
+            return config
         if not self.formats:
             raise BasketflexError("no output formats selected")
         bad = set(self.formats) - {"csv", "json"}
@@ -259,6 +259,7 @@ class RunManifest(SimpleNamespace):
             probe.unlink()
         except OSError as exc:
             raise BasketflexError(f"output directory not writable: {self.out} ({exc})")
+        return config
 
 
 def _read_json(path: Path):
@@ -372,15 +373,15 @@ def _flag(f: _Field):
 def cmd_run(manifest, **flags) -> None:
     """Run a scenario and write result files into --out."""
     m = _manifest_from(manifest, **flags)
-    m.check()
-    config = m.config()
+    config = m.check()
     # the panel and spec are freed before pricing, the other inputs before writing
     weights, prices, panel, spec = _load_inputs(m)
     with _about(m.inputs["crosswalk"], SpecInvalidError):
-        relatives = analysis._expenditure_relatives(config, weights, panel, spec)
+        checked = analysis.check_scenario(config, weights, prices, panel, spec)
+        relatives = crosswalk.apply(spec, panel, checked.base, per_day=config.per_day_base)
     del panel, spec
-    result = analysis._price_scenario(config, weights, prices, relatives)
-    del weights, prices, relatives
+    result = analysis.price_scenario(config, weights, checked, relatives)
+    del weights, prices, checked, relatives
 
     written = [RESULT_JSON] if "json" in m.formats else []
     if "csv" in m.formats:
@@ -397,20 +398,14 @@ def cmd_run(manifest, **flags) -> None:
 def cmd_validate(manifest, **flags) -> None:
     """Check inputs and crosswalk coverage without running anything."""
     m = _manifest_from(manifest, **flags)
-    m.check(for_run=False)
-    config = m.config()
+    config = m.check(for_run=False)
     weights, prices, panel, spec = _load_inputs(m)
-    findings = crosswalk.validate(spec, set(weights.shares), panel.categories)
-    if findings:
-        print(*findings, sep="\n")
-        with _about(m.inputs["crosswalk"]):
-            raise SpecInvalidError(findings)
-    # what run refuses, in run's order, but for what needs the relatives themselves
-    base = ingest.base_period(panel, config.base_months, per_day=config.per_day_base)
-    crosswalk.check_base(spec, base)
-    _, priced_months = analysis._basket_prices(weights, prices)
-    analysis._scenario_axis(config, priced_months, panel.months)
-    core.exclude_items(weights, config.core_exclusions)
+    try:
+        with _about(m.inputs["crosswalk"], SpecInvalidError):
+            analysis.check_scenario(config, weights, prices, panel, spec)
+    except SpecInvalidError as exc:
+        print(*exc.findings, sep="\n")
+        raise
     print(
         f"ok: {len(weights.shares)} items, {len(panel.categories)} categories, "
         f"{len(panel.months)} panel months, {len(prices)} price series"

@@ -266,9 +266,9 @@ def item_pools(spec: CrosswalkSpec) -> dict[ItemId, tuple[CategoryId, ...]]:
 
 def check_base(spec: CrosswalkSpec, base: Mapping[CategoryId, Decimal]) -> None:
     """Raise ZeroBaseError for the first consumed category, in sorted order,
-    that has no base spending, as ``apply`` would."""
+    whose base spending is not > 0 even as a float, as ``apply`` would."""
     for c in sorted({c for cats in item_pools(spec).values() for c in cats}):
-        if base.get(c, Decimal(0)) <= 0:
+        if not float(base.get(c, 0)) > 0:
             raise ZeroBaseError(c)
 
 

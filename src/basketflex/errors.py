@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import reprlib
+import sys
 
 from .periods import Month
 
@@ -219,7 +220,8 @@ def parses(parse):
 
 STRING = ("a string", lambda v: isinstance(v, str))
 STRINGS = [STRING]
-NUMBER = ("a number", lambda v: type(v) in (int, float))
+# not a bool, nan, inf or an integer beyond float range
+NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
 BOOL = ("true or false", lambda v: isinstance(v, bool))
 MONTH = ("a month as YYYY-MM", parses(Month.parse))
 

@@ -144,10 +144,12 @@ def test_core_series_renormalizes_both_baskets():
 def test_two_steps_compose_to_run_scenario():
     weights, prices, panel, spec = load_economy_inputs(priced_economy())
     config = ScenarioConfig(base_months=BASE, core_exclusions=frozenset({"b"}))
-    relatives = analysis._expenditure_relatives(config, weights, panel, spec)
+    checked = analysis.check_scenario(config, weights, prices, panel, spec)
+    relatives = crosswalk.apply(spec, panel, checked.base)
     assert sorted(relatives) == list(panel.months)
-    result = analysis._price_scenario(config, weights, prices, relatives)
+    result = analysis.price_scenario(config, weights, checked, relatives)
     assert relatives == {}  # consumed once the adjusted weights exist
+    assert list(result.periods) == checked.axis
     assert result == analysis.run_scenario(config, weights, prices, panel, spec)
 
 
@@ -239,6 +241,7 @@ def test_config_validation():
         {"base_months": (Month(2020, 1), Month(2020, 2), Month(2020, 1))},
         {"base_months": BASE, "annual_method": "yearly"},
         {"base_months": BASE, "lockdown_windows": ((dt.date(2020, 5, 1), dt.date(2020, 3, 1)),)},
+        {"base_months": BASE, "country_label": "bad\udcff"},  # an undecodable argv byte
     ],
 )
 def test_config_errors_are_input_errors(kwargs):

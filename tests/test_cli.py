@@ -232,6 +232,25 @@ def test_malformed_manifest_shape_exits_2(example_dir, tmp_path, command, shape,
     assert not out.exists()
 
 
+def test_a_label_that_is_not_unicode_exits_2(example_manifest, example_result_text, tmp_path):
+    out, weights = tmp_path / "out", tmp_path / "weights.csv"
+    weights.write_text("not,a,weights,file\n")  # the label is refused before any input is read
+    proc = run_cli("run", "--manifest", example_manifest, "--weights", str(weights),
+                   "--country", "bad\udcff", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "ConfigError" and "internal" not in report
+    assert not (out / "scenario_result.json").exists()
+    doc = json.loads(example_result_text)
+    doc["country"] = "bad\udcff"
+    result = tmp_path / "scenario_result.json"
+    result.write_text(json.dumps(doc))
+    proc = run_cli("compare", str(result), "--period", "2020-05", "--out", str(tmp_path / "t.csv"))
+    report = _input_error_report(proc, result)
+    assert "not valid Unicode" in report["message"]
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_non_utf8_manifest_exits_2(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_bytes(b'{"country_label": "caf\xe9"}')
@@ -392,6 +411,20 @@ def _no_base_restaurants(example_dir, tmp_path) -> dict:
     return {"expenditures": str(tmp_path / "expenditures.csv")}
 
 
+def _no_april_fuel(example_dir, tmp_path) -> dict:
+    lines = (example_dir / "expenditures.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "expenditures.csv").write_text(
+        "".join(line for line in lines if not re.match("2020-04-..,fuel,", line))
+    )
+    return {"expenditures": str(tmp_path / "expenditures.csv")}
+
+
+def _fuel_underflows(example_dir, tmp_path) -> dict:
+    text = (example_dir / "expenditures.csv").read_text()
+    (tmp_path / "expenditures.csv").write_text(re.sub(r",fuel,.*", ",fuel,1e-400", text))
+    return {"expenditures": str(tmp_path / "expenditures.csv")}
+
+
 @pytest.mark.parametrize("inputs, changes, error", [
     (_prices_ten_years_on, {}, "NoOverlappingPeriodsError"),
     (_no_base_restaurants, {}, "ZeroBaseError"),
@@ -402,6 +435,10 @@ def _no_base_restaurants(example_dir, tmp_path) -> dict:
     (None, {"core_exclude": ["nope"], "fixed_weight_month": "2030-01"},
      "FixedMonthOutOfRangeError"),
     (None, {"core_exclude": ["nope"], "base_months": ["2019-01"]}, "BaseMonthMissingError"),
+    # a zero relative is run's last check: checks made without the relatives come first
+    (_no_april_fuel, {"fixed_weight_month": "2030-01"}, "FixedMonthOutOfRangeError"),
+    (_no_april_fuel, {"core_exclude": ["nope"]}, "UnknownItemError"),
+    (_fuel_underflows, {}, "ZeroBaseError"),  # a base > 0 that is 0.0 as a float
 ])
 def test_validate_and_run_report_the_same_error(example_dir, tmp_path, inputs, changes, error):
     if inputs is not None:
@@ -691,6 +728,11 @@ def example_result_text(example_manifest, tmp_path_factory) -> str:
         lockdown_windows=[["2020-03-01", "2020-05-31"], ["2020-09-01"]])),
     ("periods[0]", lambda d: d["periods"].__setitem__(0, "2020-13")),
     ("series.core_official", lambda d: d["series"].pop("core_official")),
+    ("bias[0].monthly_pp", lambda d: d["bias"][0].update(monthly_pp=float("nan"))),
+    ("series.official[1].annual_pct", lambda d: d["series"]["official"][1].update(
+        annual_pct=float("1e400"))),
+    ("weights.adjusted[0].shares", lambda d: d["weights"]["adjusted"][0]["shares"].update(
+        food=10**400)),
 ])
 def test_compare_names_the_bad_result_field(example_result_text, tmp_path, field, mangle):
     doc = json.loads(example_result_text)

@@ -297,8 +297,8 @@ def _assert_untouched(out):
 
 @pytest.mark.parametrize("place,x", [("contribution", math.nan), ("annual_pct", math.inf)])
 def test_run_refuses_a_non_finite_result(example_dir, tmp_path, monkeypatch, capsys, place, x):
-    price = analysis._price_scenario
-    monkeypatch.setattr(analysis, "_price_scenario",
+    price = analysis.price_scenario
+    monkeypatch.setattr(analysis, "price_scenario",
                         lambda *args: _doctored(price(*args), place, x))
     out = tmp_path / "out"
     _previous_outputs(out)
