@@ -577,23 +577,22 @@ def _write_lists(write, keys: tuple[str, ...], lists) -> None:
 
 
 def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], object]]) -> None:
-    """Write the result files named in ``out`` (file name -> write function).
+    """Write the five result files: ``out`` maps ``RESULT_JSON`` and each
+    name in ``CSV_FILES`` to the write function of that file.
 
-    The names are ``RESULT_JSON`` and those of ``CSV_FILES``. The JSON text
-    is ``json.dumps(result_to_dict(result), indent=2, sort_keys=True)`` plus
-    a newline; each CSV file holds what ``csv.writer`` with
-    ``lineterminator="\\n"`` writes for its tidy rows. One pass over the
-    result writes them all, in CSV order, and formats each number once,
-    except that the ``official`` and ``core_official`` series and the
-    ``official`` weights are formatted again for the JSON, which lists them
-    after lists that their CSV lines precede. A nan or inf raises
-    ``ValueError``: no result file carries one.
+    The JSON text is ``json.dumps(result_to_dict(result), indent=2,
+    sort_keys=True)`` plus a newline; each CSV file holds what
+    ``csv.writer`` with ``lineterminator="\\n"`` writes for its tidy rows.
+    One pass over the result writes them all, in CSV order, and formats
+    each number once, except that the ``official`` and ``core_official``
+    series and the ``official`` weights are formatted again for the JSON,
+    which lists them after lists that their CSV lines precede. A nan or inf
+    raises ``ValueError``: no result file carries one.
     """
-    write_json = out.get(RESULT_JSON)
-    inflation, weights, contributions, bias = map(out.get, CSV_FILES)
+    write_json = out[RESULT_JSON]
+    inflation, weights, contributions, bias = (out[name] for name in CSV_FILES)
     for name, header in CSV_FILES.items():
-        if name in out:
-            out[name](header)
+        out[name](header)
 
     @functools.cache
     def period(month: Month) -> tuple[str, str]:  # its text and its lockdown flag
@@ -607,33 +606,25 @@ def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], objec
 
     def biases(key: str, to_csv: bool, to_json: bool):
         scope, points = ("headline", result.bias) if key == "bias" else ("core", result.core_bias)
-        to_bias = to_csv and bias
-        if not (to_bias or to_json):
-            return
         for b in points:
             text = period(b.period)[0]
             m = _number(b.monthly_pp, key, text)
             a = None if b.annual_pp is None else _number(b.annual_pp, key, text)
-            if to_bias:
+            if to_csv:
                 bias(f"{text},{scope},{m},{a or ''}\n")
             if to_json:
                 yield (f'{{\n      "annual_pp": {a or "null"},\n      "monthly_pp": {m},'
                        f'\n      "period": "{text}"\n    }}')
 
     def points(name: str, to_csv: bool, to_json: bool):
-        to_inflation, to_contributions = to_csv and inflation, to_csv and contributions
         for p in result.series(name):
             text, flag = period(p.period)
-            if to_inflation or to_json:
-                m = _number(p.monthly_pct, name, text)
-                a = None if p.annual_pct is None else _number(p.annual_pct, name, text)
-            if to_inflation:
-                inflation(f"{text},{name},{m},{a or ''},{flag}\n")
-            if not (to_contributions or to_json):
-                continue
+            m = _number(p.monthly_pct, name, text)
+            a = None if p.annual_pct is None else _number(p.annual_pct, name, text)
             order, fields, keys = items(frozenset(p.contributions))
             values = _numbers(p.contributions, order, name, text)
-            if to_contributions:
+            if to_csv:
+                inflation(f"{text},{name},{m},{a or ''},{flag}\n")
                 contributions(_csv_lines(f"{text},{name},", fields, values))
             if to_json:
                 yield (f'{{\n        "annual_pct": {a or "null"},\n        "contributions": '
@@ -641,9 +632,6 @@ def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], objec
                        f'\n        "period": "{text}"\n      }}')
 
     def vectors(basket: str, to_csv: bool, to_json: bool):
-        to_weights = to_csv and weights
-        if not (to_weights or to_json):
-            return
         shares = None
         for v in result.official_weights if basket == "official" else result.adjusted_weights:
             text, flag = period(v.period)
@@ -652,20 +640,12 @@ def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], objec
                 order, fields, keys = items(frozenset(shares))
                 values = _numbers(shares, order, basket, text)
                 obj = _json_object(keys, values) if to_json else ""
-            if to_weights:
+            if to_csv:
                 weights(_csv_lines(f"{text},{basket},", fields, values, "," + flag))
             if to_json:
                 raw_sum = _number(v.raw_sum, basket, text, "raw_sum")
                 yield (f'{{\n        "period": "{text}",\n        "raw_sum": {raw_sum},'
                        f'\n        "shares": {obj}\n      }}')
-
-    if write_json is None:
-        for lists, keys in ((biases, ("bias", "core_bias")), (points, SERIES_NAMES),
-                            (vectors, ("official", "adjusted"))):
-            for key in keys:
-                for _ in lists(key, True, False):
-                    pass
-        return
 
     head = _head_dict(result)
 
@@ -690,7 +670,8 @@ def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], objec
 
 def _file_text(result: ScenarioResult, name: str) -> Iterator[str]:
     chunks: list[str] = []
-    write_result(result, {name: chunks.append})
+    write_result(result, {**dict.fromkeys((RESULT_JSON, *CSV_FILES), lambda text: None),
+                          name: chunks.append})
     return iter(chunks)
 
 

@@ -101,6 +101,14 @@ def _umask() -> int:
     return mask
 
 
+def _echo(*lines: str) -> None:
+    """Print ``lines`` to stdout, each character its encoding lacks as a
+    backslash escape, so that printing never fails."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    for line in lines:
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _csv_text(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -218,9 +226,6 @@ _FIELDS = (
     _Field("per_day_base", "--per-day-base", _BOOL, "per_day_base",
            "Normalize month totals by day count before ratios."),
     _Field("out", "--out", _PATH, "option", "Output directory."),
-    _Field("formats", "--format", _COMMA_LIST, "option",
-           "Comma-separated outputs to write: csv, json (default both).",
-           default=["csv", "json"]),
 )
 
 # JSON shape of a manifest; null counts as absent.
@@ -247,11 +252,6 @@ class RunManifest(SimpleNamespace):
         config = self.config()  # ConfigError here, before any input file is read
         if not for_run:
             return config
-        if not self.formats:
-            raise BasketflexError("no output formats selected")
-        bad = set(self.formats) - {"csv", "json"}
-        if bad:
-            raise BasketflexError(f"unknown output format: {', '.join(sorted(bad))}")
         try:
             self.out.mkdir(parents=True, exist_ok=True)
             probe = self.out / ".write-probe"
@@ -383,15 +383,12 @@ def cmd_run(manifest, **flags) -> None:
     result = analysis.price_scenario(config, weights, checked, relatives)
     del weights, prices, checked, relatives
 
-    written = [RESULT_JSON] if "json" in m.formats else []
-    if "csv" in m.formats:
-        written += analysis.CSV_FILES
+    written = [RESULT_JSON, *analysis.CSV_FILES]
     with _replaced_together([m.out / name for name in written]) as files:
         analysis.write_result(result, {name: fh.write for name, fh in zip(written, files)})
 
-    print(f"scenario {result.config.variant}: {result.periods[0]}..{result.periods[-1]}")
-    for name in written:
-        print(f"wrote {m.out / name}")
+    _echo(f"scenario {result.config.variant}: {result.periods[0]}..{result.periods[-1]}",
+          *(f"wrote {m.out / name}" for name in written))
 
 
 @_command("validate", _MANIFEST_OPTION, *map(_flag, _FIELDS[:6]))
@@ -404,9 +401,9 @@ def cmd_validate(manifest, **flags) -> None:
         with _about(m.inputs["crosswalk"], SpecInvalidError):
             analysis.check_scenario(config, weights, prices, panel, spec)
     except SpecInvalidError as exc:
-        print(*exc.findings, sep="\n")
+        _echo(*map(str, exc.findings))
         raise
-    print(
+    _echo(
         f"ok: {len(weights.shares)} items, {len(panel.categories)} categories, "
         f"{len(panel.months)} panel months, {len(prices)} price series"
     )
@@ -429,8 +426,7 @@ def cmd_generate(economy, out) -> None:
     with _replaced_together(paths) as handles:
         for fh, text in zip(handles, texts.values()):
             fh.write(text)
-    for path in paths:
-        print(f"wrote {path}")
+    _echo(*(f"wrote {path}" for path in paths))
 
 
 @_command(
@@ -456,11 +452,10 @@ def cmd_compare(results, period, out) -> None:
     table = analysis.compare_countries(loaded, month)
     rows = analysis.comparison_rows(table)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+    _echo(*("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows))
     if out:
         _write_atomic(Path(out), _csv_text(rows))
-        print(f"wrote {out}")
+        _echo(f"wrote {out}")
 
 
 COMMANDS = (cmd_run, cmd_validate, cmd_generate, cmd_compare)

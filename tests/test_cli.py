@@ -88,20 +88,18 @@ def test_run_bundled_manifest_matches_golden_hashes(example_manifest, tmp_path, 
     assert got == GOLDEN_SHA256[variant]
 
 
-def test_run_format_gating(example_manifest, tmp_path):
-    out = tmp_path / "json_only"
-    proc = run_cli(
-        "run", "--manifest", example_manifest, "--out", str(out), "--format", "json"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert {p.name for p in out.iterdir()} == {"scenario_result.json"}
-
-    proc = run_cli(
-        "run", "--manifest", example_manifest, "--out", str(tmp_path / "x"),
-        "--format", "yaml",
-    )
+def test_run_has_no_format_option(example_dir, example_manifest, tmp_path):
+    # run always writes all five files; --format is unknown and a formats key ignored
+    out = tmp_path / "out"
+    proc = run_cli("run", "--manifest", example_manifest, "--out", str(out), "--format", "json")
     assert proc.returncode == 2
-    assert "format" in proc.stderr
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["error"] == "UsageError" and "--format" in report["message"]
+    assert not out.exists()
+    manifest = _manifest_file(example_dir, tmp_path, formats=["json"])
+    proc = run_cli("run", "--manifest", manifest, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in out.iterdir()} == EXPECTED_OUTPUTS
 
 
 def test_run_fixed_weight_month_is_tagged(example_manifest, tmp_path):
@@ -202,12 +200,10 @@ def test_run_config_errors_exit_2(example_dir, tmp_path, flags, manifest_field):
         ({"fixed_weight_month": 5}, "fixed_weight_month"),
         ({"base_months": "2020-01"}, "base_months"),
         ({"core_exclude": "energy"}, "core_exclude"),
-        ({"formats": "csv"}, "formats"),
         ({"per_day_base": "false"}, "per_day_base"),
     ],
     ids=["top-level-list", "lockdown-not-a-pair", "non-string-fixed-month",
-         "string-base-months", "string-core-exclude", "string-formats",
-         "string-per-day-base"],
+         "string-base-months", "string-core-exclude", "string-per-day-base"],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_malformed_manifest_shape_exits_2(example_dir, tmp_path, command, shape, field):
@@ -320,7 +316,7 @@ def test_manifest_null_fields_count_as_absent(example_dir, tmp_path):
     manifest = json.loads((example_dir / "manifest.json").read_text())
     for key in ("weights", "prices", "expenditures", "crosswalk"):
         manifest[key] = str(example_dir / manifest[key])
-    manifest.update({"formats": None, "annual_method": None, "lockdowns": None})
+    manifest.update({"annual_method": None, "lockdowns": None})
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     out = tmp_path / "out"
     proc = run_cli("run", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out))
@@ -717,6 +713,31 @@ def example_result_text(example_manifest, tmp_path_factory) -> str:
     return (out / "scenario_result.json").read_text()
 
 
+@pytest.mark.parametrize("command, encoding, escaped", [
+    ("run", "utf-8:strict", "o\\udcff"),
+    ("generate", "utf-8:strict", "o\\udcff"),
+    ("compare --out", "utf-8:strict", "o\\udcff.csv"),
+    ("compare", "ascii:strict", "\\u05d9\\u05e9\\u05e8\\u05d0\\u05dc"),
+], ids=["run", "generate", "compare-out", "compare-label"])
+def test_printed_lines_never_fail_to_encode(example_dir, example_manifest, example_result_text,
+                                            tmp_path, command, encoding, escaped):
+    # a path that is not UTF-8, or a label stdout's encoding lacks, prints escaped
+    doc = json.loads(example_result_text)
+    doc["country"] = "\u05d9\u05e9\u05e8\u05d0\u05dc"  # Israel, in Hebrew
+    result = tmp_path / "scenario_result.json"
+    result.write_text(json.dumps(doc))
+    out = str(tmp_path / "o\udcff")
+    args = {
+        "run": ("run", "--manifest", example_manifest, "--out", out),
+        "generate": ("generate", "--economy", str(example_dir / "economy.json"), "--out", out),
+        "compare --out": ("compare", str(result), "--period", "2020-05", "--out", out + ".csv"),
+        "compare": ("compare", str(result), "--period", "2020-05"),
+    }[command]
+    proc = run_cli(*args, env={"PYTHONIOENCODING": encoding})
+    assert proc.returncode == 0, proc.stderr
+    assert escaped in proc.stdout and proc.stderr == ""
+
+
 @pytest.mark.parametrize("field, mangle", [
     ("config.base_months", lambda d: d["config"].update(base_months="2020-01")),
     ("weights.official[0].shares",
@@ -846,7 +867,7 @@ def test_run_empty_manifest_values_keep_their_meaning(example_dir, tmp_path):
     assert doc["config"]["fixed_weight_month"] is None
 
 
-@pytest.mark.parametrize("flag", ["--fixed-weight-month", "--out", "--format"])
+@pytest.mark.parametrize("flag", ["--fixed-weight-month", "--out"])
 def test_run_empty_flag_exits_2_instead_of_using_the_manifest(example_dir, tmp_path, flag):
     manifest = json.loads((example_dir / "manifest.json").read_text())
     for key in ("weights", "prices", "expenditures", "crosswalk"):
@@ -885,7 +906,7 @@ def _manifest_file(example_dir, tmp_path, **changes) -> str:
 def test_empty_values_keep_their_meaning(example_dir, tmp_path, changes, flags, key, value):
     # `"out": ""` is the manifest's directory in every case
     manifest = _manifest_file(example_dir, tmp_path, out="", **changes)
-    cli.dispatch(["run", "--manifest", manifest, "--format", "json", *flags])
+    cli.dispatch(["run", "--manifest", manifest, *flags])
     doc = json.loads((tmp_path / "scenario_result.json").read_text())
     assert {**doc, **doc["config"]}[key] == value
 
@@ -895,7 +916,6 @@ def test_empty_values_keep_their_meaning(example_dir, tmp_path, changes, flags, 
     ({"base_months": []}, ConfigError, "at least one base month"),
     ({"weights": ""}, BasketflexError, "no weights file given"),
     ({"crosswalk": ""}, BasketflexError, "no crosswalk file given"),
-    ({"formats": []}, BasketflexError, "no output formats selected"),
 ])
 def test_empty_manifest_values_that_are_errors(example_dir, tmp_path, changes, error, message):
     manifest = _manifest_file(example_dir, tmp_path, out="out", **changes)
@@ -1040,9 +1060,9 @@ def test_compare_accepts_options_between_result_paths(example_result_text, tmp_p
 
 def test_run_accepts_option_equals_value(example_manifest, tmp_path):
     out = tmp_path / "out"
-    proc = run_cli("run", "--manifest=" + example_manifest, f"--out={out}", "--format=csv")
+    proc = run_cli("run", "--manifest=" + example_manifest, f"--out={out}")
     assert proc.returncode == 0, proc.stderr
-    assert {p.name for p in out.iterdir()} == EXPECTED_OUTPUTS - {"scenario_result.json"}
+    assert {p.name for p in out.iterdir()} == EXPECTED_OUTPUTS
 
 
 @pytest.mark.parametrize("args", [("--help",), ("run", "--help"), ("compare", "--help")])
@@ -1072,7 +1092,7 @@ def test_command_callbacks_are_looked_up_when_called(monkeypatch, example_manife
 ])
 def test_log_env_var_accepts_only_level_names(example_manifest, tmp_path, value, verbose):
     proc = run_cli("run", "--manifest", example_manifest, "--out", str(tmp_path / "out"),
-                   "--format", "json", env={"BASKETFLEX_LOG": value})
+                   env={"BASKETFLEX_LOG": value})
     assert proc.returncode == 0, proc.stderr
     assert ("scenario axis" in proc.stderr) == verbose
 
@@ -1087,7 +1107,7 @@ _KEYS = st.sampled_from([
     "core_bias", "period", "shares", "monthly_pct", "monthly_pp", "annual_pct", "annual_pp",
     "contributions", "raw_sum", "core_exclusions", "lockdown_windows", "fixed_weight_month",
     "annual_method", "per_day_base", "prices", "expenditures", "crosswalk", "out",
-    "core_exclude", "lockdowns", "country_label", "formats", "allow_negative_amounts",
+    "core_exclude", "lockdowns", "country_label", "allow_negative_amounts",
 ]) | st.text(max_size=3)
 _SCALARS = (
     st.none() | st.booleans() | st.integers(-3, 30) | st.floats(-1e3, 1e3)
@@ -1150,7 +1170,7 @@ Usage: basketflex run [--help] [--manifest MANIFEST] [--weights WEIGHTS]
                       [--fixed-weight-month FIXED_WEIGHT_MONTH]
                       [--lockdowns LOCKDOWNS] [--country COUNTRY]
                       [--annual-method {chained,fixed_base}] [--per-day-base]
-                      [--out OUT] [--format FORMATS]
+                      [--out OUT]
 
 Run a scenario and write result files into --out.
 
@@ -1180,8 +1200,6 @@ options:
                         How 12-month rates are built (default: chained).
   --per-day-base        Normalize month totals by day count before ratios.
   --out OUT             Output directory.
-  --format FORMATS      Comma-separated outputs to write: csv, json (default
-                        both).
 """
 VALIDATE_HELP = """\
 Usage: basketflex validate [--help] [--manifest MANIFEST] [--weights WEIGHTS]
@@ -1273,7 +1291,6 @@ FIELD_SAMPLES = {
     "annual_method": ("fixed_base", "fixed_base"),
     "per_day_base": (True, None),
     "out": ("results", "{root}/results"),
-    "formats": (["json"], "json"),
 }
 
 

@@ -653,3 +653,61 @@ def test_number_fields_take_only_plain_ascii(tmp_path, number):
     assert (exc.value.line, exc.value.column) == (2, "relative")
     with pytest.raises(ValueError):
         synth._decimal(number)
+
+
+# --- any text: the three CSV loaders raise only input errors ----------------------
+
+# Fields of the three files and what breaks them; "\udcff" is written to a
+# path as the byte 0xff, which is not UTF-8.
+_FIELDS = st.sampled_from([
+    "", " ", '"', '"a,b"', "#", "\ufeff", "\0", "\udcff", "item", "weight", "date", "a", "\xe9",
+    "0", "1", "-1", "0.5", "1e-400", "1e400", "1e25", "NaN", "inf", "1_0", "\u0663",
+    "2020-01", "2020-02", "2020-13", "2020-01-15", "2020-02-15", "0001-01-01", "9999-12-31",
+]) | st.text(max_size=3)
+# Values each column takes, so that drawn bodies often get past their first line.
+_VALID = {
+    "item": ["a", "b", "\xe9"], "weight": ["0.5", "0.25", "1", "0"],
+    "period": ["2020-01", "2020-02", "2020-04"], "relative": ["1", "1.01", "0.99"],
+    "date": ["2020-01-15", "2020-02-01", "2020-04-30"], "category": ["a", "b", "\xe9"],
+    "amount": ["1", "0.5", "-1", "0"],
+}
+
+
+def _csv_texts(columns: tuple[str, ...]):
+    """Up to eight lines of up to four fields, most of them well formed, after
+    the header or not."""
+    good = st.tuples(*(st.sampled_from(_VALID[c]) for c in columns)).map(",".join)
+    bad = st.lists(_FIELDS, min_size=1, max_size=4).map(",".join)
+    end = st.sampled_from(["\n", "\n", "\r\n", "\r", ""])
+    lines = st.lists(st.tuples(st.one_of(good, good, bad), end).map("".join), max_size=8)
+    return st.tuples(st.sampled_from(["", ",".join(columns) + "\n"]), lines).map(
+        lambda parts: parts[0] + "".join(parts[1]))
+
+
+_LOADERS = {
+    "weights": (ingest.load_weights, ("item", "weight")),
+    "prices": (ingest.load_prices, ("item", "period", "relative")),
+    "ledger": (read_expenditure_panel, ("date", "category", "amount")),
+    "ledger-with-refunds": (lambda source: read_expenditure_panel(source, True),
+                            ("date", "category", "amount")),
+}
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("any") / "input.csv"
+
+
+@pytest.mark.filterwarnings("ignore::basketflex.errors.BasketflexWarning")
+@pytest.mark.parametrize("loader", list(_LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_csv_loaders_raise_only_input_errors(csv_path, loader, data):
+    load, columns = _LOADERS[loader]
+    text = data.draw(_csv_texts(columns))
+    csv_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    for source in (csv_path, io.StringIO(text, newline="")):
+        try:
+            load(source)
+        except BasketflexError:
+            pass

@@ -3,7 +3,6 @@
 import copy
 import csv
 import dataclasses
-import hashlib
 import io
 import itertools
 import json
@@ -17,15 +16,14 @@ from basketflex import analysis, cli
 from basketflex.periods import Month
 
 from conftest import run_cli
-from test_cli import GOLDEN_FLAGS, GOLDEN_SHA256
 
 OUTPUTS = {analysis.RESULT_JSON, *analysis.CSV_FILES}
 
 
-def _written(result, names) -> dict[str, str]:
-    """The text ``write_result`` writes for each of ``names``."""
-    chunks = {name: [] for name in names}
-    analysis.write_result(result, {name: chunks[name].append for name in names})
+def _written(result) -> dict[str, str]:
+    """The text ``write_result`` writes for each of its five files."""
+    chunks = {name: [] for name in OUTPUTS}
+    analysis.write_result(result, {name: chunks[name].append for name in OUTPUTS})
     return {name: "".join(parts) for name, parts in chunks.items()}
 
 
@@ -38,8 +36,7 @@ def test_json_chunks_match_dumps_on_results(example_config, example_inputs, vari
     }[variant]
     result = analysis.run_scenario(config, *example_inputs)
     want = json.dumps(analysis.result_to_dict(result), indent=2, sort_keys=True) + "\n"
-    assert _written(result, [analysis.RESULT_JSON]) == {analysis.RESULT_JSON: want}
-    assert _written(result, OUTPUTS)[analysis.RESULT_JSON] == want
+    assert _written(result)[analysis.RESULT_JSON] == want
 
 
 def test_result_without_points(dynamic_result):
@@ -47,26 +44,11 @@ def test_result_without_points(dynamic_result):
     empty = dataclasses.replace(dynamic_result, **{
         field.name: () for field in dataclasses.fields(dynamic_result) if field.name != "config"
     })
-    assert _written(empty, OUTPUTS) == {
+    assert _written(empty) == {
         analysis.RESULT_JSON: json.dumps(analysis.result_to_dict(empty), indent=2,
                                          sort_keys=True) + "\n",
         **analysis.CSV_FILES,
     }
-
-
-@pytest.mark.parametrize("variant", list(GOLDEN_FLAGS))
-def test_each_format_writes_the_same_bytes(example_dir, tmp_path, capsys, variant):
-    hashes = {}
-    for formats in ("json", "csv", "csv,json"):
-        out = tmp_path / formats
-        cli.dispatch(["run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out),
-                      "--format", formats, *GOLDEN_FLAGS[variant]])
-        hashes[formats] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                           for p in out.iterdir()}
-    capsys.readouterr()
-    assert hashes["csv,json"] == GOLDEN_SHA256[variant]
-    assert hashes["json"] == {analysis.RESULT_JSON: GOLDEN_SHA256[variant][analysis.RESULT_JSON]}
-    assert hashes["csv"] == {name: GOLDEN_SHA256[variant][name] for name in analysis.CSV_FILES}
 
 
 # --- the tidy CSV writers -------------------------------------------------------
@@ -205,7 +187,7 @@ def test_writers_match_csv_writer_on_any_item_ids(writer_results, variant, data)
         want[writer.__name__] = buf.getvalue()
         assert "".join(writer(relabelled)) == buf.getvalue(), writer.__name__
     # all five files from one pass, as run writes them
-    got = _written(relabelled, OUTPUTS)
+    got = _written(relabelled)
     assert got == {analysis.RESULT_JSON: want[analysis.RESULT_JSON],
                    **{name: want[view.__name__] for name, view in CSV_VIEWS.items()}}
 
@@ -223,9 +205,8 @@ def test_writers_refuse_non_finite_draws(writer_results, data, bad):
     rate_stream = itertools.cycle(draws)
     relabelled = _relabelled(result, {i: i for i in result.official_weights[0].shares},
                              lambda: next(rate_stream), set())
-    for names in ([analysis.RESULT_JSON], OUTPUTS):
-        with pytest.raises(ValueError, match="non-finite"):
-            _written(relabelled, names)
+    with pytest.raises(ValueError, match="non-finite"):
+        _written(relabelled)
 
 
 def _at(seq, i, **changes):
@@ -258,29 +239,12 @@ def _doctored(result, place, x):
     return dataclasses.replace(result, core_bias=_at(result.core_bias, 12, annual_pp=x))
 
 
-# Each place a number is published, and the files other than the JSON that publish it.
-PUBLISHED_IN = {
-    "contribution": {"contributions.csv"},
-    "monthly_pct": {"inflation.csv"},
-    "annual_pct": {"inflation.csv"},
-    "share": {"weights.csv"},
-    "raw_sum": set(),
-    "bias": {"bias.csv"},
-}
-
-
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("place", list(PUBLISHED_IN))
+@pytest.mark.parametrize(
+    "place", ["contribution", "monthly_pct", "annual_pct", "share", "raw_sum", "bias"])
 def test_writers_refuse_non_finite_numbers(dynamic_result, place, x):
-    result = _doctored(dynamic_result, place, x)
-    for name in OUTPUTS:
-        if name in PUBLISHED_IN[place] | {analysis.RESULT_JSON}:
-            with pytest.raises(ValueError, match="non-finite"):
-                _written(result, [name])
-        else:
-            _written(result, [name])
     with pytest.raises(ValueError, match="non-finite"):
-        _written(result, OUTPUTS)
+        _written(_doctored(dynamic_result, place, x))
 
 
 def _previous_outputs(out):
@@ -375,14 +339,3 @@ def test_item_id_with_comma_and_quote_round_trips(example_dir, tmp_path):
         assert item in {row[2] for row in rows[1:]}
     doc = json.loads((out / "scenario_result.json").read_text())
     assert item in doc["weights"]["official"][0]["shares"]
-
-
-def test_format_csv_writes_only_csv_files(example_dir, tmp_path):
-    # the JSON-only case is covered by test_cli.py::test_run_format_gating
-    out = tmp_path / "out"
-    proc = run_cli(
-        "run", "--manifest", str(example_dir / "manifest.json"), "--out", str(out),
-        "--format", "csv",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert {p.name for p in out.iterdir()} == set(analysis.CSV_FILES)
