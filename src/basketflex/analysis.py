@@ -20,7 +20,6 @@ import functools
 import io
 import json
 import logging
-from dataclasses import dataclass, replace
 from decimal import Decimal
 from math import isfinite
 from operator import add
@@ -69,8 +68,17 @@ RESULT_SCHEMA = "basketflex.scenario_result/1"
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class _ScenarioConfig(NamedTuple):
+    base_months: tuple[Month, ...]
+    core_exclusions: frozenset[ItemId] = frozenset()
+    fixed_weight_month: Month | None = None
+    lockdown_windows: tuple[tuple[dt.date, dt.date], ...] = ()
+    country_label: str = ""
+    annual_method: str = "chained"
+    per_day_base: bool = False
+
+
+class ScenarioConfig(_ScenarioConfig):
     """Knobs for one scenario run.
 
     ``annual_method`` selects how 12-month rates are built: ``chained``
@@ -80,15 +88,9 @@ class ScenarioConfig:
     basket, kept as a comparison variant.
     """
 
-    base_months: tuple[Month, ...]
-    core_exclusions: frozenset[ItemId] = frozenset()
-    fixed_weight_month: Month | None = None
-    lockdown_windows: tuple[tuple[dt.date, dt.date], ...] = ()
-    country_label: str = ""
-    annual_method: str = "chained"
-    per_day_base: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:  # checks the fields __new__ set
         if not self.base_months:
             raise ConfigError("at least one base month is required")
         repeated = sorted({m for m in self.base_months if self.base_months.count(m) > 1})
@@ -119,8 +121,7 @@ class ScenarioConfig:
         return any(start <= last and end >= first for start, end in self.lockdown_windows)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Aligned monthly output of one scenario.
 
     All series share ``periods`` as their axis; weight paths carry one
@@ -250,11 +251,11 @@ def price_scenario(
     axis = checked.axis
     if config.fixed_weight_month is not None:
         frozen = adjusted_weights(weights, relatives[config.fixed_weight_month])
-        adj_vectors = [replace(frozen, period=m) for m in axis]
+        adj_vectors = [frozen._replace(period=m) for m in axis]
     else:
         adj_vectors = [adjusted_weights(weights, relatives[m]) for m in axis]
     relatives.clear()
-    off_vectors = [replace(weights, period=m) for m in axis]
+    off_vectors = [weights._replace(period=m) for m in axis]
 
     core_off = checked.core_official
     core_prices = {i: s for i, s in checked.prices.items() if i in core_off.shares}
@@ -265,7 +266,7 @@ def price_scenario(
         if config.annual_method == "chained":
             return chain_annual(points)
         return [
-            replace(p, annual_pct=fixed_base_annual(v, prices, p.period)) if i >= 11 else p
+            p._replace(annual_pct=fixed_base_annual(v, prices, p.period)) if i >= 11 else p
             for i, (p, v) in enumerate(zip(points, vectors))
         ]
 
@@ -289,8 +290,7 @@ def price_scenario(
     )
 
 
-@dataclass(frozen=True)
-class CountryBias:
+class CountryBias(NamedTuple):
     """One comparison-table row: the weighting bias of one scenario."""
 
     country: str
@@ -321,21 +321,9 @@ def compare_countries(
 # --- serialization ----------------------------------------------------------
 
 
-def _point_dict(p: InflationPoint) -> dict:
-    return {
-        "period": str(p.period),
-        "monthly_pct": p.monthly_pct,
-        "annual_pct": p.annual_pct,
-        "contributions": p.contributions,
-    }
-
-
-def _bias_dict(b: BiasPoint) -> dict:
-    return {"period": str(b.period), "monthly_pp": b.monthly_pp, "annual_pp": b.annual_pp}
-
-
-def _weights_dicts(vectors: Iterable[WeightVector]) -> list[dict]:
-    return [{"period": str(v.period), "raw_sum": v.raw_sum, "shares": v.shares} for v in vectors]
+def _entries(values: Iterable[WeightVector | InflationPoint | BiasPoint]) -> list[dict]:
+    """The JSON objects of values: their fields, with the period as text."""
+    return [{**v._asdict(), "period": str(v.period)} for v in values]
 
 
 def _head_dict(result: ScenarioResult) -> dict:
@@ -361,12 +349,12 @@ def result_to_dict(result: ScenarioResult) -> dict:
     return {
         **_head_dict(result),
         "weights": {
-            "official": _weights_dicts(result.official_weights),
-            "adjusted": _weights_dicts(result.adjusted_weights),
+            "official": _entries(result.official_weights),
+            "adjusted": _entries(result.adjusted_weights),
         },
-        "series": {name: [_point_dict(p) for p in result.series(name)] for name in SERIES_NAMES},
-        "bias": [_bias_dict(b) for b in result.bias],
-        "core_bias": [_bias_dict(b) for b in result.core_bias],
+        "series": {name: _entries(result.series(name)) for name in SERIES_NAMES},
+        "bias": _entries(result.bias),
+        "core_bias": _entries(result.core_bias),
     }
 
 
@@ -435,48 +423,23 @@ def result_from_dict(doc: Mapping) -> ScenarioResult:
         **{name: read(cfg_doc[name]) for name, (_, _, read) in _CONFIG_FIELDS if name in cfg_doc},
     )
 
-    def points(entries) -> tuple[InflationPoint, ...]:
+    def read(cls, entries) -> tuple:
+        """Each entry as a ``cls`` of the fields it has, with its period parsed."""
+        fields = [name for name in cls._fields if name != "period"]
         return tuple(
-            InflationPoint(
-                period=Month.parse(e["period"]),
-                monthly_pct=e["monthly_pct"],
-                contributions=dict(e.get("contributions", {})),
-                annual_pct=e.get("annual_pct"),
-            )
+            cls(period=Month.parse(e["period"]), **{name: e[name] for name in fields if name in e})
             for e in entries
         )
 
-    def biases(entries) -> tuple[BiasPoint, ...]:
-        return tuple(
-            BiasPoint(
-                period=Month.parse(e["period"]),
-                monthly_pp=e["monthly_pp"],
-                annual_pp=e.get("annual_pp"),
-            )
-            for e in entries
-        )
-
-    def vectors(entries) -> tuple[WeightVector, ...]:
-        return tuple(
-            WeightVector(
-                shares=dict(e["shares"]),
-                period=Month.parse(e["period"]),
-                raw_sum=e.get("raw_sum", 1.0),
-            )
-            for e in entries
-        )
-
+    series = doc["series"]
     return ScenarioResult(
         config=config,
         periods=tuple(Month.parse(m) for m in doc["periods"]),
-        official_weights=vectors(doc["weights"]["official"]),
-        adjusted_weights=vectors(doc["weights"]["adjusted"]),
-        official=points(doc["series"]["official"]),
-        adjusted=points(doc["series"]["adjusted"]),
-        core_official=points(doc["series"]["core_official"]),
-        core_adjusted=points(doc["series"]["core_adjusted"]),
-        bias=biases(doc["bias"]),
-        core_bias=biases(doc["core_bias"]),
+        official_weights=read(WeightVector, doc["weights"]["official"]),
+        adjusted_weights=read(WeightVector, doc["weights"]["adjusted"]),
+        **{name: read(InflationPoint, series[name]) for name in SERIES_NAMES},
+        bias=read(BiasPoint, doc["bias"]),
+        core_bias=read(BiasPoint, doc["core_bias"]),
     )
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     AllItemsExcludedError,
@@ -42,8 +41,18 @@ ItemId = str
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WeightVector:
+# Each value type below is a NamedTuple. One that checks its fields is a
+# subclass of a plain NamedTuple base whose ``__init__`` checks the fields the
+# base's ``__new__`` has set; ``_replace`` builds a copy without that check.
+
+
+class _WeightVector(NamedTuple):
+    shares: dict[ItemId, float]
+    period: Month | None = None
+    raw_sum: float = 1.0
+
+
+class WeightVector(_WeightVector):
     """Basket shares for one period, summing to one.
 
     Construct via :func:`normalize_weights` (or another operation in this
@@ -51,16 +60,16 @@ class WeightVector:
     sum in ``raw_sum``.
     """
 
-    shares: dict[ItemId, float]
-    period: Month | None = None
-    raw_sum: float = field(default=1.0, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if not self.shares:
             raise EmptyInputError("weight vector has no items")
         for item, w in self.shares.items():
             if not item:
                 raise ValueError("empty item id in weight vector")
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight for item {item!r}: {w}")
             if w < 0:
                 raise NegativeWeightError(item, w)
         total = math.fsum(self.shares.values())
@@ -71,14 +80,17 @@ class WeightVector:
         return frozenset(self.shares)
 
 
-@dataclass(frozen=True)
-class ExpenditureRelativeVector:
-    """Per-item expenditure change versus the base period, for one month."""
-
+class _ExpenditureRelativeVector(NamedTuple):
     period: Month
     relatives: dict[ItemId, float]
 
-    def __post_init__(self) -> None:
+
+class ExpenditureRelativeVector(_ExpenditureRelativeVector):
+    """Per-item expenditure change versus the base period, for one month."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if not self.relatives:
             raise EmptyInputError("expenditure relative vector has no items")
         for item, de in self.relatives.items():
@@ -86,19 +98,22 @@ class ExpenditureRelativeVector:
                 raise NonPositiveRelativeError(item, de)
 
 
-@dataclass(frozen=True)
-class PriceRelativeSeries:
+class _PriceRelativeSeries(NamedTuple):
+    item: ItemId
+    start: Month
+    values: array
+
+
+class PriceRelativeSeries(_PriceRelativeSeries):
     """Month-over-month price factors for one item, gap-free and positive.
 
     ``values[k]`` is the factor of month ``start.plus(k)``; the factors are
     packed in one ``array('d')``, so a series holds no per-month object.
     """
 
-    item: ItemId
-    start: Month
-    values: array
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if not self.values:
             raise EmptyInputError(f"price series for {self.item!r} is empty")
         for k, rel in enumerate(self.values):
@@ -126,21 +141,27 @@ class PriceRelativeSeries:
         return None
 
 
-@dataclass(frozen=True)
-class InflationPoint:
+class _InflationPoint(NamedTuple):
+    period: Month
+    monthly_pct: float
+    contributions: dict[ItemId, float] = {}  # shared by every point that omits it, never mutated
+    annual_pct: float | None = None
+
+
+class InflationPoint(_InflationPoint):
     """One month of an inflation series.
 
     ``annual_pct`` is filled by :func:`chain_annual` (or the fixed-base
     alternative) once twelve chained months are available; contributions are
-    percentage points and sum to ``monthly_pct``.
+    percentage points and sum to ``monthly_pct``. Every number is finite.
     """
 
-    period: Month
-    monthly_pct: float
-    contributions: dict[ItemId, float] = field(default_factory=dict)
-    annual_pct: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        annual = () if self.annual_pct is None else (self.annual_pct,)
+        if not all(map(math.isfinite, (self.monthly_pct, *annual, *self.contributions.values()))):
+            raise ValueError(f"non-finite rate or contribution in the point of {self.period}")
         if self.contributions:
             total = math.fsum(self.contributions.values())
             if abs(total - self.monthly_pct) > 1e-9:
@@ -149,8 +170,7 @@ class InflationPoint:
                 )
 
 
-@dataclass(frozen=True)
-class BiasPoint:
+class BiasPoint(NamedTuple):
     """Official-minus-adjusted inflation gap for one month.
 
     Negative bias means the official rate understates inflation measured
@@ -260,12 +280,12 @@ def chain_annual(monthly: Iterable[InflationPoint]) -> list[InflationPoint]:
     out: list[InflationPoint] = []
     for i, p in enumerate(points):
         if i < 11:
-            out.append(replace(p, annual_pct=None))
+            out.append(p._replace(annual_pct=None))
             continue
         factor = math.prod(
             1.0 + q.monthly_pct / 100.0 for q in points[i - 11 : i + 1]
         )
-        out.append(replace(p, annual_pct=(factor - 1.0) * 100.0))
+        out.append(p._replace(annual_pct=(factor - 1.0) * 100.0))
     return out
 
 

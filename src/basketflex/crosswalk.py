@@ -27,9 +27,8 @@ produce the same relatives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .core import ExpenditureRelativeVector, ItemId
 from .errors import SpecInvalidError, ZeroBaseError, check_shape
@@ -54,8 +53,7 @@ BAD_RULE = "bad_rule"
 BAD_REASSIGNMENT = "bad_reassignment"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """How one basket item's expenditure relative is obtained."""
 
     target: ItemId
@@ -65,8 +63,7 @@ class Rule:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class Reassignment:
+class Reassignment(NamedTuple):
     """Move one category's spending between two items' pools."""
 
     source: CategoryId
@@ -75,8 +72,7 @@ class Reassignment:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One validation problem; the report is a list of these."""
 
     code: str
@@ -87,8 +83,7 @@ class Finding:
         return f"{self.code}({self.subject}): {self.message}"
 
 
-@dataclass(frozen=True)
-class CrosswalkSpec:
+class CrosswalkSpec(NamedTuple):
     rules: tuple[Rule, ...]
     reassignments: tuple[Reassignment, ...] = ()
     version: str = "1"

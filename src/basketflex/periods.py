@@ -4,20 +4,27 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-@dataclass(frozen=True, order=True)
-class Month:
-    """A calendar month (year plus month number), ordered chronologically."""
-
+class _Month(NamedTuple):
     year: int
     month: int
 
-    def __post_init__(self) -> None:
+
+class Month(_Month):
+    """A calendar month (year plus month number), ordered chronologically.
+
+    A NamedTuple: it equals, hashes and sorts as the tuple ``(year, month)``,
+    and its ``index`` is the property below, not ``tuple.index``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:  # checks the fields __new__ set
         if not 1 <= self.month <= 12:
             raise ValueError(f"month number out of range 1..12: {self.month}")
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import WeightVector, normalize_weights
 from .errors import (
@@ -56,8 +55,7 @@ def _check_magnitude(value, field: str, power: int = 1) -> None:
     raise exc
 
 
-@dataclass(frozen=True)
-class SyntheticItem:
+class SyntheticItem(NamedTuple):
     """One basket item with its base price/quantity and card-data footprint.
 
     ``categories`` maps transaction-category ids to the share of this item's
@@ -79,8 +77,7 @@ class SyntheticItem:
         return self.categories
 
 
-@dataclass(frozen=True)
-class ShockWindow:
+class ShockWindow(NamedTuple):
     """A span of months with scaled quantities and drifting prices.
 
     Quantity multipliers apply to the base quantity for every month inside
@@ -90,15 +87,14 @@ class ShockWindow:
 
     start: Month
     end: Month
-    quantity_multipliers: Mapping[str, Decimal] = field(default_factory=dict)
-    price_drifts: Mapping[str, Decimal] = field(default_factory=dict)
+    quantity_multipliers: Mapping[str, Decimal] = {}  # both shared when omitted, never mutated
+    price_drifts: Mapping[str, Decimal] = {}
 
     def covers(self, month: Month) -> bool:
         return self.start <= month <= self.end
 
 
-@dataclass(frozen=True)
-class SyntheticEconomySpec:
+class SyntheticEconomySpec(NamedTuple):
     """Parameters of a generated economy.
 
     The horizon starts at ``start`` and runs for ``months`` calendar months;
@@ -113,7 +109,7 @@ class SyntheticEconomySpec:
     start: Month = Month(2020, 1)
     base_months: int = 2
     shock_windows: tuple[ShockWindow, ...] = ()
-    base_drifts: Mapping[str, Decimal] = field(default_factory=dict)
+    base_drifts: Mapping[str, Decimal] = {}  # shared when omitted, never mutated
     seed: int = 0
     max_records_per_month: int = 5
 
@@ -255,8 +251,7 @@ def oracle_adjusted_weights(spec: SyntheticEconomySpec, month: Month) -> WeightV
     )
 
 
-@dataclass(frozen=True)
-class GeneratedFiles:
+class GeneratedFiles(NamedTuple):
     weights_csv: str
     prices_csv: str
     expenditures_csv: str

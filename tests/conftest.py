@@ -55,10 +55,8 @@ def dynamic_result(example_config, example_inputs):
 
 @pytest.fixture(scope="session")
 def fixed_april_result(example_config, example_inputs):
-    import dataclasses
-
     weights, prices, panel, spec = example_inputs
-    config = dataclasses.replace(example_config, fixed_weight_month=Month(2020, 4))
+    config = example_config._replace(fixed_weight_month=Month(2020, 4))
     return analysis.run_scenario(config, weights, prices, panel, spec)
 
 

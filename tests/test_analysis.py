@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import datetime as dt
 import io
 import math
@@ -49,8 +48,7 @@ def flat_economy(months=15):
 def priced_economy(months=16):
     # price movement but no quantity shocks: official vs adjusted differ only
     # through the price-driven expenditure drift
-    return dataclasses.replace(
-        flat_economy(months),
+    return flat_economy(months)._replace(
         base_drifts={"a": D("1.004"), "b": D("0.996"), "c": D("1.001")},
         shock_windows=(
             synth.ShockWindow(
@@ -82,7 +80,7 @@ def test_fixed_weight_at_single_base_month_equals_official():
     # the base month so the freeze month lies on the scenario axis
     assert all(s.start == START.next() for s in prices.values())
     prices = {
-        i: dataclasses.replace(s, start=START, values=array("d", [1.0]) + s.values)
+        i: s._replace(start=START, values=array("d", [1.0]) + s.values)
         for i, s in prices.items()
     }
     config = ScenarioConfig(base_months=(START,), fixed_weight_month=START)
@@ -192,7 +190,7 @@ def test_uncovered_item_fails_validation():
 def test_no_overlap_errors():
     weights, prices, panel, spec = load_economy_inputs(flat_economy(months=4))
     shifted = {
-        i: dataclasses.replace(s, start=s.start.plus(120))
+        i: s._replace(start=s.start.plus(120))
         for i, s in prices.items()
     }
     with pytest.raises(NoOverlappingPeriodsError):

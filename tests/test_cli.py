@@ -688,6 +688,39 @@ def test_importing_the_cli_leaves_pyyaml_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+_MODULES_AFTER_MAIN = """
+import sys
+sys.argv = ["basketflex", *sys.argv[1:]]
+from basketflex.cli import main
+try:
+    main()
+finally:
+    print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "compare", "generate"])
+def test_commands_import_neither_dataclasses_nor_inspect(example_dir, tmp_path, command):
+    # value types are NamedTuples: `import dataclasses` would pull in `inspect`
+    manifest = str(example_dir / "manifest.json")
+    result = tmp_path / "run" / "scenario_result.json"
+    if command == "compare":
+        cli.main(["run", "--manifest", manifest, "--out", str(result.parent)])
+    args = {
+        "run": ["--manifest", manifest, "--out", str(result.parent)],
+        "validate": ["--manifest", manifest],
+        "compare": [str(result), "--period", "2020-05"],
+        "generate": ["--economy", str(example_dir / "economy.json"), "--out", str(tmp_path)],
+    }[command]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, command, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_public_names_and_submodules_resolve_on_access():
     code = """
 import importlib, pkgutil, sys

@@ -92,6 +92,10 @@ def test_normalize_errors():
 def test_weight_vector_rejects_unnormalized_direct_construction():
     with pytest.raises(ValueError):
         WeightVector(shares={"A": 0.7, "B": 0.7})
+    # a nan share makes the sum nan, which no tolerance check refuses
+    for shares in ({"A": math.nan}, {"A": 1.0, "B": math.nan}, {"A": 1.0, "B": -math.inf}):
+        with pytest.raises(ValueError, match="non-finite weight for item"):
+            WeightVector(shares=shares)
 
 
 # --- adjusted_weights -------------------------------------------------------
@@ -419,6 +423,14 @@ def test_bias_period_mismatch():
 def test_inflation_point_contribution_additivity_enforced():
     with pytest.raises(ValueError):
         InflationPoint(period=M, monthly_pct=1.0, contributions={"A": 0.3, "B": 0.3})
+    for bad in (
+        dict(monthly_pct=math.nan),
+        dict(monthly_pct=math.inf, contributions={"A": math.inf}),
+        dict(monthly_pct=1.0, contributions={"A": 1.0, "B": math.nan}),
+        dict(monthly_pct=1.0, annual_pct=-math.inf),
+    ):
+        with pytest.raises(ValueError, match="non-finite rate or contribution"):
+            InflationPoint(period=M, **bad)
 
 
 # --- property tests ---------------------------------------------------------

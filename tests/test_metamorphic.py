@@ -18,6 +18,7 @@ from basketflex.periods import Month
 from conftest import EXAMPLE_DIR
 
 EXAMPLE_FLAGS = ("--manifest", str(EXAMPLE_DIR / "manifest.json"))
+INPUTS = ("weights.csv", "prices.csv", "expenditures.csv")
 
 # a aggregates c1 and c5, until c5 is reassigned to f; d follows a
 MIXED_RULES = """\
@@ -67,8 +68,7 @@ ECONOMIES = {
 def cases(tmp_path_factory) -> dict:
     """Each case's input texts and the flags that run it, apart from the input paths."""
     found = {"example": (
-        {name: (EXAMPLE_DIR / name).read_text()
-         for name in ("weights.csv", "prices.csv", "expenditures.csv")},
+        {name: (EXAMPLE_DIR / name).read_text() for name in INPUTS},
         EXAMPLE_FLAGS,
     )}
     for name, (economy, flags) in ECONOMIES.items():
@@ -126,12 +126,30 @@ def _with_zeros(text: str, rng: random.Random) -> str:
     return header + "".join(rows)
 
 
+_NOT_RECORDS = ("# a comment\n", "\n", '  # indented, with a comma and "quotes"\n', " \t\n")
+
+
+def _commented(text: str, rng: random.Random) -> str:
+    """Comment and blank lines at random places, before the header too."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(20):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_NOT_RECORDS))
+    return "".join(lines)
+
+
+def _with_bom(text: str, rng: random.Random) -> str:
+    return "\ufeff" + text
+
+
+# rewrite -> the input files it rewrites and how
 REWRITES = {
-    "shuffled-records": ("expenditures.csv", _shuffled),
-    "split-records": ("expenditures.csv", _split),
-    "zero-records": ("expenditures.csv", _with_zeros),
-    "shuffled-weights": ("weights.csv", _shuffled),
-    "shuffled-prices": ("prices.csv", _shuffled),
+    "shuffled-records": (("expenditures.csv",), _shuffled),
+    "split-records": (("expenditures.csv",), _split),
+    "zero-records": (("expenditures.csv",), _with_zeros),
+    "shuffled-weights": (("weights.csv",), _shuffled),
+    "shuffled-prices": (("prices.csv",), _shuffled),
+    "comment-lines": (INPUTS, _commented),
+    "byte-order-mark": (INPUTS, _with_bom),
 }
 
 
@@ -143,8 +161,9 @@ def test_rewritten_inputs_give_the_same_bytes(cases, tmp_path, request, case, re
         request.applymarker(pytest.mark.xfail(
             strict=True, reason="core.fixed_base_annual adds its terms in weights.csv order"))
     texts, flags = cases[case]
-    name, rewritten = REWRITES[rewrite]
-    changed = {**texts, name: rewritten(texts[name], random.Random(f"{case}/{rewrite}"))}
-    assert changed[name] != texts[name]
+    names, rewritten = REWRITES[rewrite]
+    rng = random.Random(f"{case}/{rewrite}")
+    changed = {**texts, **{name: rewritten(texts[name], rng) for name in names}}
+    assert all(changed[name] != texts[name] for name in names)
     assert _run(tmp_path / "changed", changed, flags, crlf) == _run(tmp_path / "plain", texts,
                                                                      flags)

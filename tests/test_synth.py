@@ -121,9 +121,7 @@ def test_partition_choice_does_not_change_monthly_totals():
     # the seed only drives how months split into records; totals and hence
     # pipeline weights are identical for any seed
     economy = shock_economy()
-    import dataclasses
-
-    other = dataclasses.replace(economy, seed=999)
+    other = economy._replace(seed=999)
     files_a, files_b = synth.generate(economy), synth.generate(other)
     assert files_a.expenditures_csv != files_b.expenditures_csv
     panel_a = ingest.read_expenditure_panel(io.StringIO(files_a.expenditures_csv))
@@ -172,10 +170,8 @@ def test_category_split_conserves_spending():
     ],
 )
 def test_invalid_spec_scalars(mutate):
-    import dataclasses
-
     with pytest.raises(InvalidEconomySpecError):
-        dataclasses.replace(flat_economy(), **mutate).validate()
+        flat_economy()._replace(**mutate).validate()
 
 
 def test_invalid_spec_values():
@@ -307,9 +303,7 @@ def test_generate_matches_golden_hashes():
     (dict(seed="7"), "seed must be an integer"),
 ])
 def test_size_caps_refuse_before_allocating(mutate, message):
-    import dataclasses
-
-    economy = dataclasses.replace(flat_economy(), **mutate)
+    economy = flat_economy()._replace(**mutate)
     with pytest.raises(InvalidEconomySpecError, match=message):
         synth.generate(economy)
     with pytest.raises(InvalidEconomySpecError, match=message):
@@ -317,11 +311,8 @@ def test_size_caps_refuse_before_allocating(mutate, message):
 
 
 def test_size_caps_admit_their_limits():
-    import dataclasses
-
-    economy = dataclasses.replace(
-        flat_economy(n_items=1), months=synth.MAX_MONTHS, start=Month(9900, 1),
-        max_records_per_month=1,
+    economy = flat_economy(n_items=1)._replace(
+        months=synth.MAX_MONTHS, start=Month(9900, 1), max_records_per_month=1,
     )
     ledger = synth.generate(economy).expenditures_csv.splitlines()
     assert len(ledger) == 1 + synth.MAX_MONTHS
@@ -329,13 +320,10 @@ def test_size_caps_admit_their_limits():
 
 
 def test_magnitude_bounds_admit_their_limits():
-    import dataclasses
-
     big, small = D(10) ** synth.MAGNITUDE, D(10) ** -synth.MAGNITUDE
     steps = 12
     drift = D(10) ** (D(synth.MAGNITUDE) / steps)  # just under 1e60 once compounded
-    economy = dataclasses.replace(
-        flat_economy(n_items=2, months=steps + 1),
+    economy = flat_economy(n_items=2, months=steps + 1)._replace(
         items=(synth.SyntheticItem("i0", big * D("0.999"), small),
                synth.SyntheticItem("i1", small, D(1))),
         base_drifts={"i0": 1 / drift, "i1": drift},
@@ -348,7 +336,7 @@ def test_magnitude_bounds_admit_their_limits():
         {"base_drifts": {"i0": drift * D("1.0001")}},
     ):
         with pytest.raises(InvalidEconomySpecError, match="must lie within"):
-            dataclasses.replace(economy, **bad).validate()
+            economy._replace(**bad).validate()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,8 +1,6 @@
 """The one-pass result writer behind `basketflex run`: JSON and CSV text, atomicity."""
 
-import copy
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -31,8 +29,8 @@ def _written(result) -> dict[str, str]:
 def test_json_chunks_match_dumps_on_results(example_config, example_inputs, variant):
     config = {
         "default": example_config,
-        "fixed-weight": dataclasses.replace(example_config, fixed_weight_month=Month(2020, 4)),
-        "fixed-base": dataclasses.replace(example_config, annual_method="fixed_base"),
+        "fixed-weight": example_config._replace(fixed_weight_month=Month(2020, 4)),
+        "fixed-base": example_config._replace(annual_method="fixed_base"),
     }[variant]
     result = analysis.run_scenario(config, *example_inputs)
     want = json.dumps(analysis.result_to_dict(result), indent=2, sort_keys=True) + "\n"
@@ -41,8 +39,8 @@ def test_json_chunks_match_dumps_on_results(example_config, example_inputs, vari
 
 def test_result_without_points(dynamic_result):
     # empty lists, which json.dumps writes as "[]"
-    empty = dataclasses.replace(dynamic_result, **{
-        field.name: () for field in dataclasses.fields(dynamic_result) if field.name != "config"
+    empty = dynamic_result._replace(**{
+        name: () for name in dynamic_result._fields if name != "config"
     })
     assert _written(empty) == {
         analysis.RESULT_JSON: json.dumps(analysis.result_to_dict(empty), indent=2,
@@ -123,11 +121,11 @@ def _relabelled(result, names, draw_rate, blank):
     def vector(v):
         if id(v.shares) not in shares:
             shares[id(v.shares)] = {names[i]: w for i, w in v.shares.items()}
-        return dataclasses.replace(v, shares=shares[id(v.shares)])
+        return v._replace(shares=shares[id(v.shares)])
 
     def point(p):  # contributions must still sum to monthly_pct
-        return dataclasses.replace(
-            p, annual_pct=draw_rate(),
+        return p._replace(
+            annual_pct=draw_rate(),
             contributions={
                 names[i]: c for i, c in p.contributions.items() if p.period not in blank
             },
@@ -135,27 +133,26 @@ def _relabelled(result, names, draw_rate, blank):
 
     def bias(b):  # a drawn None keeps the monthly gap, which is never missing
         monthly = draw_rate()
-        return dataclasses.replace(b, monthly_pp=b.monthly_pp if monthly is None else monthly,
-                                   annual_pp=draw_rate())
+        return b._replace(monthly_pp=b.monthly_pp if monthly is None else monthly,
+                          annual_pp=draw_rate())
 
     fields = {
         "official_weights": vector, "adjusted_weights": vector,
         **dict.fromkeys(analysis.SERIES_NAMES, point), "bias": bias, "core_bias": bias,
     }
-    return dataclasses.replace(result, **{
+    return result._replace(**{
         name: tuple(map(fn, getattr(result, name))) for name, fn in fields.items()
     })
 
 
 @pytest.fixture(scope="module")
 def writer_results(example_config, example_inputs):
-    replace = dataclasses.replace
     results = {
         variant: analysis.run_scenario(config, *example_inputs)
         for variant, config in (
             ("default", example_config),
-            ("fixed-weight", replace(example_config, fixed_weight_month=Month(2020, 4))),
-            ("fixed-base", replace(example_config, annual_method="fixed_base")),
+            ("fixed-weight", example_config._replace(fixed_weight_month=Month(2020, 4))),
+            ("fixed-base", example_config._replace(annual_method="fixed_base")),
         )
     }
     # both sides of weight_rows's reuse check, and missing annual rates
@@ -212,31 +209,24 @@ def test_writers_refuse_non_finite_draws(writer_results, data, bad):
 def _at(seq, i, **changes):
     """``seq`` with ``changes`` made to a copy of its ``i``-th point, which is
     not checked again (a non-finite contribution breaks the contribution sum)."""
-    point = copy.copy(seq[i])
-    for name, value in changes.items():
-        object.__setattr__(point, name, value)
-    return (*seq[:i], point, *seq[i + 1:])
+    return (*seq[:i], seq[i]._replace(**changes), *seq[i + 1:])
 
 
 def _doctored(result, place, x):
     item = sorted(result.official_weights[0].shares)[2]
     if place == "contribution":
         contributions = {**result.official[3].contributions, item: x}
-        return dataclasses.replace(result, official=_at(result.official, 3,
-                                                        contributions=contributions))
+        return result._replace(official=_at(result.official, 3, contributions=contributions))
     if place == "monthly_pct":
-        return dataclasses.replace(result, core_adjusted=_at(result.core_adjusted, 4,
-                                                              monthly_pct=x))
+        return result._replace(core_adjusted=_at(result.core_adjusted, 4, monthly_pct=x))
     if place == "annual_pct":
-        return dataclasses.replace(result, adjusted=_at(result.adjusted, 13, annual_pct=x))
+        return result._replace(adjusted=_at(result.adjusted, 13, annual_pct=x))
     if place == "share":
         shares = {**result.adjusted_weights[5].shares, item: x}
-        return dataclasses.replace(result, adjusted_weights=_at(result.adjusted_weights, 5,
-                                                                shares=shares))
+        return result._replace(adjusted_weights=_at(result.adjusted_weights, 5, shares=shares))
     if place == "raw_sum":
-        return dataclasses.replace(result, official_weights=_at(result.official_weights, 7,
-                                                                raw_sum=x))
-    return dataclasses.replace(result, core_bias=_at(result.core_bias, 12, annual_pp=x))
+        return result._replace(official_weights=_at(result.official_weights, 7, raw_sum=x))
+    return result._replace(core_bias=_at(result.core_bias, 12, annual_pp=x))
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
