@@ -178,8 +178,7 @@ def check_scenario(
     ZeroBaseError, MissingPriceRelativeError, NoOverlappingPeriodsError (the
     price series share no month, or none with the panel),
     FixedMonthOutOfRangeError, and UnknownItemError or AllItemsExcludedError
-    for the core exclusions. ``validate`` is this check alone; ``run`` goes
-    on to ``crosswalk.apply``, whose NonPositiveRelativeError is its last.
+    for the core exclusions.
     """
     findings = cw.validate(spec, set(weights.shares), panel.categories)
     if findings:
@@ -265,10 +264,12 @@ def price_scenario(
         points = [monthly_inflation(v, prices, m) for v, m in zip(vectors, axis)]
         if config.annual_method == "chained":
             return chain_annual(points)
-        return [
-            p._replace(annual_pct=fixed_base_annual(v, prices, p.period)) if i >= 11 else p
-            for i, (p, v) in enumerate(zip(points, vectors))
-        ]
+        if config.annual_method == "fixed_base":
+            return [
+                p._replace(annual_pct=fixed_base_annual(v, prices, p.period)) if i >= 11 else p
+                for i, (p, v) in enumerate(zip(points, vectors))
+            ]
+        raise ConfigError(f"annual_method must be one of {ANNUAL_METHODS}")
 
     core_adj_pts = priced([exclude_items(v, config.core_exclusions) for v in adj_vectors],
                           core_prices)
@@ -343,8 +344,9 @@ def result_to_dict(result: ScenarioResult) -> dict:
     """JSON-ready form of a scenario result; see ``result_from_dict``.
 
     Shares and contributions are the result's own dicts, in their own key
-    order: dump with sorted keys for stable text, and do not mutate them.
-    ``write_result`` writes this document without building it.
+    order: do not mutate them. ``write_result`` writes this document without
+    building it, with sorted keys in every object but ``series`` and
+    ``weights``, whose members come in the order given here.
     """
     return {
         **_head_dict(result),
@@ -508,49 +510,17 @@ def _write_list(write, elements: Iterable[str], pad: str) -> None:
     write("[]" if sep[0] == "[" else pad + "]")
 
 
-def _write_lists(write, keys: tuple[str, ...], lists) -> None:
-    """Write a JSON object of lists in sorted key order, passing over the
-    lists in the order of ``keys``, their CSV order.
-
-    ``lists(key, to_csv, to_json)`` writes the CSV lines of one list when
-    ``to_csv`` is true and yields its JSON elements when ``to_json`` is. A
-    list whose JSON is not yet due when its CSV lines are is passed over a
-    second time for the JSON once it is, rather than held in memory.
-    """
-    due = sorted(keys)
-    passed = set()
-    sep = "{"
-
-    def put(key: str, to_csv: bool) -> None:
-        nonlocal sep
-        write(f'{sep}\n    "{key}": ')
-        _write_list(write, lists(key, to_csv, True), "\n    ")
-        sep = ","
-
-    for key in keys:
-        if key == due[0]:
-            put(due.pop(0), True)
-        else:
-            for _ in lists(key, True, False):
-                pass
-        passed.add(key)
-        while due and due[0] in passed:
-            put(due.pop(0), False)
-    write("\n  }")
-
-
 def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], object]]) -> None:
     """Write the five result files: ``out`` maps ``RESULT_JSON`` and each
     name in ``CSV_FILES`` to the write function of that file.
 
-    The JSON text is ``json.dumps(result_to_dict(result), indent=2,
-    sort_keys=True)`` plus a newline; each CSV file holds what
-    ``csv.writer`` with ``lineterminator="\\n"`` writes for its tidy rows.
-    One pass over the result writes them all, in CSV order, and formats
-    each number once, except that the ``official`` and ``core_official``
-    series and the ``official`` weights are formatted again for the JSON,
-    which lists them after lists that their CSV lines precede. A nan or inf
-    raises ``ValueError``: no result file carries one.
+    The JSON text is ``json.dumps(result_to_dict(result), indent=2)`` plus a
+    newline, with sorted keys in every object but ``series`` and ``weights``,
+    whose members come in CSV order. Each CSV file holds what ``csv.writer``
+    with ``lineterminator="\\n"`` writes for its tidy rows. One pass over the
+    result writes them all and formats each number once: each list writes
+    its CSV lines as it yields its JSON elements. A nan or inf raises
+    ``ValueError``: no result file carries one.
     """
     write_json = out[RESULT_JSON]
     inflation, weights, contributions, bias = (out[name] for name in CSV_FILES)
@@ -567,34 +537,30 @@ def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], objec
         return (order, list(map(_csv_field, order)),
                 [f"\n          {json.dumps(item)}: " for item in order])
 
-    def biases(key: str, to_csv: bool, to_json: bool):
+    def biases(key: str):
         scope, points = ("headline", result.bias) if key == "bias" else ("core", result.core_bias)
         for b in points:
             text = period(b.period)[0]
             m = _number(b.monthly_pp, key, text)
             a = None if b.annual_pp is None else _number(b.annual_pp, key, text)
-            if to_csv:
-                bias(f"{text},{scope},{m},{a or ''}\n")
-            if to_json:
-                yield (f'{{\n      "annual_pp": {a or "null"},\n      "monthly_pp": {m},'
-                       f'\n      "period": "{text}"\n    }}')
+            bias(f"{text},{scope},{m},{a or ''}\n")
+            yield (f'{{\n      "annual_pp": {a or "null"},\n      "monthly_pp": {m},'
+                   f'\n      "period": "{text}"\n    }}')
 
-    def points(name: str, to_csv: bool, to_json: bool):
+    def points(name: str):
         for p in result.series(name):
             text, flag = period(p.period)
             m = _number(p.monthly_pct, name, text)
             a = None if p.annual_pct is None else _number(p.annual_pct, name, text)
             order, fields, keys = items(frozenset(p.contributions))
             values = _numbers(p.contributions, order, name, text)
-            if to_csv:
-                inflation(f"{text},{name},{m},{a or ''},{flag}\n")
-                contributions(_csv_lines(f"{text},{name},", fields, values))
-            if to_json:
-                yield (f'{{\n        "annual_pct": {a or "null"},\n        "contributions": '
-                       f'{_json_object(keys, values)},\n        "monthly_pct": {m},'
-                       f'\n        "period": "{text}"\n      }}')
+            inflation(f"{text},{name},{m},{a or ''},{flag}\n")
+            contributions(_csv_lines(f"{text},{name},", fields, values))
+            yield (f'{{\n        "annual_pct": {a or "null"},\n        "contributions": '
+                   f'{_json_object(keys, values)},\n        "monthly_pct": {m},'
+                   f'\n        "period": "{text}"\n      }}')
 
-    def vectors(basket: str, to_csv: bool, to_json: bool):
+    def vectors(basket: str):
         shares = None
         for v in result.official_weights if basket == "official" else result.adjusted_weights:
             text, flag = period(v.period)
@@ -602,13 +568,19 @@ def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], objec
                 shares = v.shares
                 order, fields, keys = items(frozenset(shares))
                 values = _numbers(shares, order, basket, text)
-                obj = _json_object(keys, values) if to_json else ""
-            if to_csv:
-                weights(_csv_lines(f"{text},{basket},", fields, values, "," + flag))
-            if to_json:
-                raw_sum = _number(v.raw_sum, basket, text, "raw_sum")
-                yield (f'{{\n        "period": "{text}",\n        "raw_sum": {raw_sum},'
-                       f'\n        "shares": {obj}\n      }}')
+                obj = _json_object(keys, values)
+            weights(_csv_lines(f"{text},{basket},", fields, values, "," + flag))
+            raw_sum = _number(v.raw_sum, basket, text, "raw_sum")
+            yield (f'{{\n        "period": "{text}",\n        "raw_sum": {raw_sum},'
+                   f'\n        "shares": {obj}\n      }}')
+
+    def lists(keys: tuple[str, ...], elements) -> None:  # an object of lists, in keys' order
+        sep = "{"
+        for key in keys:
+            write_json(f'{sep}\n    "{key}": ')
+            _write_list(write_json, elements(key), "\n    ")
+            sep = ","
+        write_json("\n  }")
 
     head = _head_dict(result)
 
@@ -617,17 +589,17 @@ def write_result(result: ScenarioResult, out: Mapping[str, Callable[[str], objec
         write_json(f',\n  "{key}": {text}')
 
     write_json('{\n  "bias": ')
-    _write_list(write_json, biases("bias", True, True), "\n  ")
+    _write_list(write_json, biases("bias"), "\n  ")
     member("config")
     write_json(',\n  "core_bias": ')
-    _write_list(write_json, biases("core_bias", True, True), "\n  ")
+    _write_list(write_json, biases("core_bias"), "\n  ")
     for key in ("country", "in_lockdown", "periods", "schema"):
         member(key)
     write_json(',\n  "series": ')
-    _write_lists(write_json, SERIES_NAMES, points)
+    lists(SERIES_NAMES, points)
     member("variant")
     write_json(',\n  "weights": ')
-    _write_lists(write_json, ("official", "adjusted"), vectors)
+    lists(("official", "adjusted"), vectors)
     write_json("\n}\n")
 
 

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import datetime as dt
 import errno
-import io
 import json
 import logging
 import os
@@ -110,9 +108,8 @@ def _echo(*lines: str) -> None:
 
 
 def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """What ``csv.writer`` with ``lineterminator="\\n"`` writes for ``rows`` of 2+ fields."""
+    return "".join("".join(map(analysis._csv_field, row))[:-1] + "\n" for row in rows)
 
 
 @contextlib.contextmanager
@@ -399,7 +396,9 @@ def cmd_validate(manifest, **flags) -> None:
     weights, prices, panel, spec = _load_inputs(m)
     try:
         with _about(m.inputs["crosswalk"], SpecInvalidError):
-            analysis.check_scenario(config, weights, prices, panel, spec)
+            checked = analysis.check_scenario(config, weights, prices, panel, spec)
+        # run's last check, NonPositiveRelativeError, is only made by computing the relatives
+        crosswalk._relatives(spec, panel, checked.base, config.per_day_base)
     except SpecInvalidError as exc:
         _echo(*map(str, exc.findings))
         raise

@@ -293,7 +293,12 @@ def apply(
     if findings:
         raise SpecInvalidError(findings)
     check_base(spec, base)
+    return _relatives(spec, panel, base, per_day)
 
+
+def _relatives(spec: CrosswalkSpec, panel: "ExpenditurePanel", base: Mapping[CategoryId, Decimal],
+               per_day: bool) -> dict[Month, ExpenditureRelativeVector]:
+    """``apply``'s relatives of a spec that its checks have passed."""
     pools = item_pools(spec)
     consumed = sorted({c for cats in pools.values() for c in cats})
     rules = {r.target: r for r in spec.rules}

@@ -55,6 +55,19 @@ def _check_magnitude(value, field: str, power: int = 1) -> None:
     raise exc
 
 
+def _check_id(value: str, field: str) -> None:
+    """``value`` must be an id that the CSV readers read back as written (on
+    Python 3.10 the csv module also refuses a NUL)."""
+    if value and value == value.strip() and value[0] != "#" and not set(',"\r\n\0') & set(value):
+        return
+    exc = InvalidEconomySpecError(
+        f"field {field!r} must be an id the CSV files read back as written: not empty or "
+        f"padded, without ',', '\"', CR, LF or NUL, not starting with '#'; got {value!r}"
+    )
+    exc.field = field
+    raise exc
+
+
 class SyntheticItem(NamedTuple):
     """One basket item with its base price/quantity and card-data footprint.
 
@@ -142,6 +155,9 @@ class SyntheticEconomySpec(NamedTuple):
             raise InvalidEconomySpecError("duplicate item ids")
         steps = self.months - 1  # price drifts compound over this many months
         for k, it in enumerate(self.items):
+            _check_id(it.id, f"items[{k}].id")
+            for c, _ in it.categories or ():
+                _check_id(c, f"items[{k}].categories")
             if it.base_price <= 0 or it.base_quantity <= 0:
                 raise InvalidEconomySpecError(
                     f"base price and quantity for {it.id!r} must be > 0"

@@ -271,6 +271,13 @@ def test_annual_method_fixed_base_differs_but_tracks_chained():
         assert fixed_pct == pytest.approx(chained_pct, abs=0.5)
 
 
+def test_pricing_refuses_an_unknown_annual_method():
+    weights, prices, panel, spec = load_economy_inputs(priced_economy(months=14))
+    config = ScenarioConfig(base_months=BASE)._replace(annual_method="bogus")  # skips the check
+    with pytest.raises(ConfigError, match="annual_method must be one of"):
+        analysis.run_scenario(config, weights, prices, panel, spec)
+
+
 def test_per_day_base_changes_relatives_but_keeps_invariants():
     weights, prices, panel, spec = load_economy_inputs(priced_economy())
     plain = analysis.run_scenario(ScenarioConfig(base_months=BASE), weights, prices, panel, spec)

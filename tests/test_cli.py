@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import functools
 import hashlib
+import io
 import json
 import operator
 import os
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basketflex import cli
+from basketflex import analysis, cli
 from basketflex.errors import BasketflexError, ConfigError
 
 from conftest import run_cli
@@ -36,21 +38,21 @@ GOLDEN_SHA256 = {
         "bias.csv": "d8ffe21f5c21e3012dfd5b6991b2df4b5ae911fc7d8e813ccb2637917e992de1",
         "contributions.csv": "53a9414d5177d72f912aadf94d4a45e4eea2c1285576cc4e0f13128107a1ad90",
         "inflation.csv": "4e40764456935169482937c70244d9c68f681dc2813bd1a24fd13e2de85b735b",
-        "scenario_result.json": "aaa36a11ca047533eb59c1b192a49327d355c23bdb17737bf0e4b44fdc134c92",
+        "scenario_result.json": "7912584679047f06aa38551b95c0d487cf2d062ea4ac0aebc90bc1381dd54100",
         "weights.csv": "e76ee37c63a607a446cd79c67cbf725b02053504647709bee38f6b9ff3323f97",
     },
     "fixed-weight": {
         "bias.csv": "369b8897650446476722d23923d58d332ac5e845e58f638f076db220a48d966c",
         "contributions.csv": "b08fba7734766184f484bbb725649d7dd860925c298981e5ca194a45f81a019f",
         "inflation.csv": "e4c8f899c82b81fa22c7d5f2fe3ee51a07d808b4fc7550ba886186c71c633f1c",
-        "scenario_result.json": "af42fdfcaed0ad6999e7c1d1724e293758c53e96b8cc6b7377f7959ae10007cb",
+        "scenario_result.json": "9fe3f1bd411331b074c556a7f56a9b6841aaf64303f530bbe43da39da58aed49",
         "weights.csv": "acffe970ae96b4a33afc5f0f7652b93c518deed86e2b088ad8c352662edf2f4d",
     },
     "fixed-base": {
         "bias.csv": "48a620265d87b90a483371a3d84efc8ac7450d93741757f1f8153811aa7c81c4",
         "contributions.csv": "53a9414d5177d72f912aadf94d4a45e4eea2c1285576cc4e0f13128107a1ad90",
         "inflation.csv": "32309fd07f36dbd535b46b691e1a00ca50b44d359691215cfec7e89ea6627748",
-        "scenario_result.json": "2bb882d3ddcfb0973b8e5a5723fb3d05551ccdcfb0bc359a7d8823ddf3e0b60f",
+        "scenario_result.json": "abdadf918d041463e3550e372ee94e64e67618d6e97864504d594d4785adc8c9",
         "weights.csv": "e76ee37c63a607a446cd79c67cbf725b02053504647709bee38f6b9ff3323f97",
     },
 }
@@ -66,7 +68,7 @@ def example_manifest(example_dir) -> str:
     return str(example_dir / "manifest.json")
 
 
-def test_run_bundled_manifest(example_manifest, tmp_path):
+def test_run_bundled_manifest(example_manifest, tmp_path, dynamic_result):
     out = tmp_path / "out"
     proc = run_cli("run", "--manifest", example_manifest, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
@@ -75,6 +77,7 @@ def test_run_bundled_manifest(example_manifest, tmp_path):
     assert doc["variant"] == "dynamic"
     assert doc["country"] == "synthetic-israel"
     assert doc["periods"][0] == "2020-02"
+    assert doc == analysis.result_to_dict(dynamic_result)
 
 
 @pytest.mark.parametrize("variant", list(GOLDEN_SHA256))
@@ -421,6 +424,22 @@ def _fuel_underflows(example_dir, tmp_path) -> dict:
     return {"expenditures": str(tmp_path / "expenditures.csv")}
 
 
+def _zero_spend_probe(example_dir, tmp_path) -> dict:
+    """Two items; category a has no records in 2020-03, a zero-filled cell."""
+    files = {
+        "weights": "item,weight\na,0.5\nb,0.5\n",
+        "prices": "item,period,relative\n" + "".join(
+            f"{item},{month},1.0\n" for item in "ab" for month in ("2020-02", "2020-03")),
+        "expenditures": "date,category,amount\n2020-01-15,a,10\n2020-01-15,b,10\n"
+                        "2020-02-15,a,10\n2020-02-15,b,10\n2020-03-15,b,10\n",
+        "crosswalk": "rules:\n  - {target: a, kind: direct, source: a}\n"
+                     "  - {target: b, kind: direct, source: b}\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
 @pytest.mark.parametrize("inputs, changes, error", [
     (_prices_ten_years_on, {}, "NoOverlappingPeriodsError"),
     (_no_base_restaurants, {}, "ZeroBaseError"),
@@ -435,6 +454,10 @@ def _fuel_underflows(example_dir, tmp_path) -> dict:
     (_no_april_fuel, {"fixed_weight_month": "2030-01"}, "FixedMonthOutOfRangeError"),
     (_no_april_fuel, {"core_exclude": ["nope"]}, "UnknownItemError"),
     (_fuel_underflows, {}, "ZeroBaseError"),  # a base > 0 that is 0.0 as a float
+    # validate computes the relatives too, so it refuses a zero relative
+    (_no_april_fuel, {}, "NonPositiveRelativeError"),
+    (_zero_spend_probe, {"base_months": ["2020-01"], "core_exclude": []},
+     "NonPositiveRelativeError"),
 ])
 def test_validate_and_run_report_the_same_error(example_dir, tmp_path, inputs, changes, error):
     if inputs is not None:
@@ -489,19 +512,29 @@ def test_compare_command(example_manifest, tmp_path):
         ).returncode
         == 0
     )
+    # a label the CSV table must quote
+    quoted = tmp_path / "quoted.json"
+    doc = json.loads((a / "scenario_result.json").read_text())
+    quoted.write_text(json.dumps({**doc, "country": 'say "hi", ok'}))
     table = tmp_path / "table.csv"
     proc = run_cli(
         "compare",
         str(a / "scenario_result.json"),
         str(b / "scenario_result.json"),
+        str(quoted),
         "--period", "2020-05",
         "--out", str(table),
     )
     assert proc.returncode == 0, proc.stderr
-    lines = table.read_text().splitlines()
-    assert lines[0] == "country,monthly_bias_pp,annual_bias_pp,sign"
-    assert len(lines) == 3
-    assert all(line.endswith("negative") for line in lines[1:])
+    text = table.read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert text == buf.getvalue()
+    assert rows[0] == ["country", "monthly_bias_pp", "annual_bias_pp", "sign"]
+    assert len(rows) == 4
+    assert all(row[-1] == "negative" for row in rows[1:])
+    assert '"say ""hi"", ok",' in text
     assert "synthetic-israel" in proc.stdout
 
 

@@ -6,6 +6,8 @@ from decimal import Decimal as D
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from basketflex import crosswalk, ingest, synth
 from basketflex.core import adjusted_weights
@@ -219,6 +221,37 @@ def test_economy_json_round_trip(example_dir):
     assert (example_dir / "weights.csv").read_text() == files.weights_csv
     assert (example_dir / "prices.csv").read_text() == files.prices_csv
     assert (example_dir / "expenditures.csv").read_text() == files.expenditures_csv
+
+
+@pytest.mark.parametrize("bad", [
+    "", " a", "a ", "a\u2003", "food, drink", 'say "hi"', "a\rb", "a\nb", "a\0b", "#a",
+])
+@pytest.mark.parametrize("where", ["id", "categories"])
+def test_ids_the_csv_files_would_not_read_back_are_refused(bad, where):
+    item = {"id": bad} if where == "id" else {"id": "a", "categories": {bad: "1"}}
+    with pytest.raises(InvalidEconomySpecError) as exc:
+        synth.parse_economy(json.dumps({"months": 3, "items": [{"id": "b"}, item]}))
+    assert exc.value.field == f"items[1].{where}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.text(max_size=4) | st.sampled_from(["a b", "x#y", "café", "'q'", "#"]),
+                    min_size=3, max_size=3, unique=True))
+def test_accepted_ids_read_back_as_written(ids):
+    economy = flat_economy(n_items=2)._replace(items=(
+        synth.SyntheticItem(ids[0], D(1), D(10)),
+        synth.SyntheticItem(ids[1], D(1), D(20), categories=((ids[2], D(1)),)),
+    ))
+    try:
+        economy.validate()
+    except InvalidEconomySpecError:
+        assume(False)
+    files = synth.generate(economy)
+    weights = ingest.load_weights(io.StringIO(files.weights_csv))
+    prices = ingest.load_prices(io.StringIO(files.prices_csv))
+    panel = ingest.read_expenditure_panel(io.StringIO(files.expenditures_csv))
+    assert set(weights.shares) == set(prices) == set(ids[:2])
+    assert set(panel.categories) == {ids[0], ids[2]}
 
 
 def test_parse_economy_rejects_garbage():
