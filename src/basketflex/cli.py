@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,17 +43,22 @@ from .periods import Month, parse_date
 log = logging.getLogger("basketflex")
 
 
+def _fresh_name(directory: Path) -> Path:
+    """A temp file name in ``directory``. Open it with ``"x"``, which never opens an
+    existing file and gives a new one ``0o666`` less the umask, as a plain ``open`` does."""
+    return directory / f".tmp-{os.urandom(8).hex()}"
+
+
 @contextlib.contextmanager
 def _replaced_together(paths: list[Path]):
     """Open a temp file beside each of ``paths``; rename them over ``paths``
     once the block has written them all.
 
-    The files get the mode a plain ``open`` would give them (``0o666`` less
-    the umask), not the temp file's ``0o600``. On any exception before the
-    renames every temp file is removed and every path is left as it was; an
-    ``OSError`` (a directory is a file, a path is a directory, no permission,
-    no space) becomes a ``BasketflexError`` carrying the path it concerns,
-    or, while the block writes several files, their directory.
+    On any exception before the renames every temp file is removed and every
+    path is left as it was; an ``OSError`` (a directory is a file, a path is a
+    directory, no permission, no space) becomes a ``BasketflexError`` carrying
+    the path it concerns, or, while the block writes several files, their
+    directory.
     """
     temps = []
     where = None
@@ -64,13 +68,11 @@ def _replaced_together(paths: list[Path]):
                 where.parent.mkdir(parents=True, exist_ok=True)
                 if where.is_dir():  # its rename would fail after the others were done
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                fd, tmp = tempfile.mkstemp(dir=where.parent, prefix=".tmp-")
-                temps.append((tmp, os.fdopen(fd, "w", encoding="utf-8", newline="")))
+                tmp = _fresh_name(where.parent)
+                temps.append((tmp, open(tmp, "x", encoding="utf-8", newline="")))
             where = paths[0] if len(paths) == 1 else paths[0].parent
             yield [fh for _, fh in temps]
-            mode = 0o666 & ~_umask()
             for _, fh in temps:
-                os.fchmod(fh.fileno(), mode)
                 fh.close()
             for where, (tmp, _) in zip(paths, temps):
                 os.replace(tmp, where)
@@ -91,12 +93,6 @@ def _write_atomic(path: Path, data: str) -> None:
     """Write ``data`` to ``path`` through a temp file and a rename."""
     with _replaced_together([path]) as (fh,):
         fh.write(data)
-
-
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 def _echo(*lines: str) -> None:
@@ -251,8 +247,8 @@ class RunManifest(SimpleNamespace):
             return config
         try:
             self.out.mkdir(parents=True, exist_ok=True)
-            probe = self.out / ".write-probe"
-            probe.touch()
+            probe = _fresh_name(self.out)
+            open(probe, "xb").close()
             probe.unlink()
         except OSError as exc:
             raise BasketflexError(f"output directory not writable: {self.out} ({exc})")

@@ -76,9 +76,6 @@ class WeightVector(_WeightVector):
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weight vector sums to {total}, not 1")
 
-    def items(self) -> frozenset[ItemId]:
-        return frozenset(self.shares)
-
 
 class _ExpenditureRelativeVector(NamedTuple):
     period: Month

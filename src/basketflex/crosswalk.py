@@ -148,6 +148,8 @@ def validate(
             )
         if r.kind == "follow_peer" and not r.peer:
             findings.append(Finding(BAD_RULE, r.target, "follow_peer rule needs a peer"))
+        if r.kind != "follow_peer" and r.peer is not None:
+            findings.append(Finding(BAD_RULE, r.target, f"{r.kind} rule takes no peer"))
 
     # Category consumption: at most one provider rule per category.
     consumed_by: dict[CategoryId, ItemId] = {}
@@ -405,6 +407,11 @@ def parse_spec(text: str) -> CrosswalkSpec:
         doc = {k: v for k, v in doc.items() if v is not None}
     try:
         check_shape(doc, _SPEC_SHAPE, ValueError)
+        for k, r in enumerate(doc["rules"]):
+            if "source" in r and "sources" in r:  # else one of them would be dropped
+                exc = ValueError(f"field 'rules[{k}].sources' cannot be given with 'source'")
+                exc.field = f"rules[{k}].sources"
+                raise exc
     except ValueError as exc:  # check_shape's error names the part in ``field``
         where = exc.field or "file"
         code = BAD_REASSIGNMENT if where.startswith("reassignments") else BAD_RULE

@@ -30,7 +30,6 @@ import contextlib
 import csv
 import datetime as dt
 import math
-import sys
 import warnings
 from decimal import Decimal, InvalidOperation, localcontext
 from itertools import repeat
@@ -136,7 +135,7 @@ def read_expenditure_panel(path, allow_negative: bool = False) -> ExpenditurePan
     if sums is not None:
         return _panel_of(sums)
     with _table(path, _EXPENDITURE_HEADER) as rows:
-        return aggregate_daily(_expenditure_rows(rows), allow_negative)
+        return _panel_of(_fold(_expenditure_rows(rows), allow_negative))
 
 
 def _block_sums(path, allow_negative: bool) -> dict[CategoryId, dict[int, Decimal]] | None:
@@ -238,22 +237,19 @@ def _panel_of(sums: dict[CategoryId, dict[int, Decimal]]) -> ExpenditurePanel:
     """The panel of the month sums; each dict is dropped as its column is built.
 
     Only here is it known which cells had records, so both warnings come
-    from here, and they name the first caller outside this module.
+    from here. Only public readers call it, so they name a reader's caller.
     """
     if not sums:
         raise EmptyInputError("no expenditure records")
     seen = set().union(*sums.values())
     first, last = min(seen), max(seen)
     months = tuple(month_range(Month.from_index(first), Month.from_index(last)))
-    frame, stacklevel = sys._getframe(), 1  # of the first caller outside this module
-    while frame.f_globals is globals():
-        frame, stacklevel = frame.f_back, stacklevel + 1
     empty = [m for m in months if m.index not in seen]
     if empty:
         warnings.warn(
             f"no records in {', '.join(str(m) for m in empty)}; totals set to 0",
             GapWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     columns, filled = {}, 0
     for c in sorted(sums):
@@ -266,7 +262,7 @@ def _panel_of(sums: dict[CategoryId, dict[int, Decimal]]) -> ExpenditurePanel:
         warnings.warn(
             f"{missing} category-month cells had no records and were set to 0",
             MissingCellWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     return panel
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import basketflex
 from basketflex import analysis, cli
 from basketflex.errors import BasketflexError, ConfigError
 
@@ -648,6 +649,29 @@ def test_outputs_are_written_atomically(example_manifest, tmp_path):
     assert leftovers == []
 
 
+def test_run_keeps_a_file_named_write_probe(example_manifest, tmp_path):
+    # the writability probe must not touch a file of the user's, whatever its name
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".write-probe").write_bytes(b"user data\n")
+    proc = run_cli("run", "--manifest", example_manifest, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / ".write-probe").read_bytes() == b"user data\n"
+
+
+def test_commands_never_call_umask(example_dir, tmp_path, monkeypatch):
+    # the umask is process-wide: setting it, even briefly, changes other threads' files
+    calls = []
+    monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or 0o022)
+    cli.dispatch(["run", "--manifest", str(example_dir / "manifest.json"),
+                  "--out", str(tmp_path / "run")])
+    cli.dispatch(["generate", "--economy", str(example_dir / "economy.json"),
+                  "--out", str(tmp_path / "gen")])
+    cli.dispatch(["compare", str(tmp_path / "run" / "scenario_result.json"),
+                  "--period", "2020-05", "--out", str(tmp_path / "compare.csv")])
+    assert calls == []
+
+
 @pytest.mark.parametrize("command, out, written", [
     ("generate", "a-file", "a-file/weights.csv"),
     ("generate", "a-file/sub", "a-file/sub/weights.csv"),
@@ -721,14 +745,16 @@ def test_importing_the_cli_leaves_pyyaml_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+# reports only what the command added: some site setups import inspect at startup
 _MODULES_AFTER_MAIN = """
 import sys
+before = set(sys.modules)
 sys.argv = ["basketflex", *sys.argv[1:]]
 from basketflex.cli import main
 try:
     main()
 finally:
-    print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+    print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
 """
 
 
@@ -770,6 +796,12 @@ print(len(basketflex.__all__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == 39
+
+
+def test_bundled_data_helpers_name_the_manifest_and_its_crosswalk():
+    manifest, spec = basketflex.example_manifest_path(), basketflex.default_crosswalk_path()
+    assert manifest.is_file() and spec.is_file()
+    assert cli._manifest_from(manifest).inputs["crosswalk"].resolve() == spec.resolve()
 
 
 @pytest.fixture(scope="module")

@@ -98,10 +98,11 @@ def test_validate_structural_rule_shapes():
             cw.Rule(target="a", kind="aggregate", sources=("c1",)),  # needs >= 2
             cw.Rule(target="b", kind="follow_peer"),  # needs a peer
             cw.Rule(target="c", kind="mystery"),
+            cw.Rule(target="d", kind="direct", sources=("c2",), peer="a"),  # takes no peer
         )
     )
-    findings = cw.validate(spec, {"a", "b", "c"}, {"c1"})
-    assert sum(1 for f in findings if f.code == cw.BAD_RULE) >= 3
+    findings = cw.validate(spec, {"a", "b", "c", "d"}, {"c1", "c2"})
+    assert {f.subject for f in findings if f.code == cw.BAD_RULE} == {"a", "b", "c", "d"}
 
 
 # --- pools and reassignment -------------------------------------------------
@@ -303,14 +304,18 @@ def test_parse_rejects_non_list_sections(text, code):
         ("rules:\n  - 5\n", "rules[0]", cw.BAD_RULE),
         ("rules: []\nreassignments: x\n", "reassignments", cw.BAD_REASSIGNMENT),
         ("rules: null\n", "rules", cw.BAD_RULE),
+        ("rules:\n  - {target: a, kind: direct, source: x}\n"
+         "  - {target: b, kind: direct, source: y, sources: [y, z]}\n", "rules[1].sources",
+         cw.BAD_RULE),
     ],
     ids=["target-list", "source-mapping", "sources-entry", "reassignment-from", "version",
          "target-null", "source-null", "peer-null", "reassignment-notes-null", "sources-text",
-         "rules-mapping", "rule-int", "reassignments-text", "rules-null"],
+         "rules-mapping", "rule-int", "reassignments-text", "rules-null", "source-and-sources"],
 )
 def test_parse_names_a_collection_where_a_value_belongs(text, field, code):
     # these were str()-coerced: the target ['a', 'b'], the category {'x': 1},
-    # a null the text "None"; the last five named no field
+    # a null the text "None"; sources-text to rules-null named no field, and
+    # the last rule dropped its sources
     with pytest.raises(SpecInvalidError) as exc:
         cw.parse_spec(text)
     assert exc.value.field == field
