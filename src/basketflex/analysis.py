@@ -231,7 +231,7 @@ def run_scenario(
     the panel before pricing.
     """
     checked = check_scenario(config, weights, prices, panel, spec)
-    relatives = cw.apply(spec, panel, checked.base, per_day=config.per_day_base)
+    relatives = cw.apply(spec, panel, checked.base, config.per_day_base, checked.axis)
     return price_scenario(config, weights, checked, relatives)
 
 

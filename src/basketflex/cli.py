@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -43,12 +42,6 @@ from .periods import Month, parse_date
 log = logging.getLogger("basketflex")
 
 
-def _fresh_name(directory: Path) -> Path:
-    """A temp file name in ``directory``. Open it with ``"x"``, which never opens an
-    existing file and gives a new one ``0o666`` less the umask, as a plain ``open`` does."""
-    return directory / f".tmp-{os.urandom(8).hex()}"
-
-
 @contextlib.contextmanager
 def _replaced_together(paths: list[Path]):
     """Open a temp file beside each of ``paths``; rename them over ``paths``
@@ -68,7 +61,8 @@ def _replaced_together(paths: list[Path]):
                 where.parent.mkdir(parents=True, exist_ok=True)
                 if where.is_dir():  # its rename would fail after the others were done
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                tmp = _fresh_name(where.parent)
+                # "x" never opens an existing file; a new one gets 0o666 less the umask
+                tmp = where.parent / f".tmp-{os.urandom(8).hex()}"
                 temps.append((tmp, open(tmp, "x", encoding="utf-8", newline="")))
             where = paths[0] if len(paths) == 1 else paths[0].parent
             yield [fh for _, fh in temps]
@@ -119,9 +113,16 @@ def _about(path: Path, errors: type = BasketflexError):
 
 
 def _load(loader, path: Path):
-    """Run a loader, tagging raised errors with the originating file."""
+    """Run a loader on the regular file ``path``, tagging raised errors with it;
+    an ``OSError`` (a name too long, no permission) becomes a ``BasketflexError``."""
     with _about(path):
-        return loader(path)
+        try:
+            if not path.is_file():
+                raise BasketflexError(
+                    f"{'not a file' if path.exists() else 'file not found'}: {path}")
+            return loader(path)
+        except OSError as exc:
+            raise BasketflexError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _parse_month(text: str) -> Month:
@@ -225,36 +226,6 @@ _FIELDS = (
 _MANIFEST_SHAPE = {f"{f.key}?": f.kind.shape for f in _FIELDS}
 
 
-class RunManifest(SimpleNamespace):
-    """One scenario run as ``_manifest_from`` reads it.
-
-    ``inputs`` maps each input file's field to its path (None when none is
-    given) and each run option is an attribute. ``config`` builds the
-    scenario configuration when called, so that ``check`` reports missing
-    input files before a ``ConfigError``; ``check`` returns the configuration.
-    """
-
-    def check(self, for_run: bool = True) -> ScenarioConfig:
-        if for_run and self.out is None:
-            raise BasketflexError("no output directory given (flag or manifest)")
-        for name, p in self.inputs.items():
-            if p is None:
-                raise BasketflexError(f"no {name} file given (flag or manifest)")
-            if not p.is_file():
-                raise BasketflexError(f"{name} file not found: {p}")
-        config = self.config()  # ConfigError here, before any input file is read
-        if not for_run:
-            return config
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-            probe = _fresh_name(self.out)
-            open(probe, "xb").close()
-            probe.unlink()
-        except OSError as exc:
-            raise BasketflexError(f"output directory not writable: {self.out} ({exc})")
-        return config
-
-
 def _read_json(path: Path):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -280,8 +251,12 @@ def _read_result(path: Path) -> analysis.ScenarioResult:
         raise err
 
 
-def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
+def _manifest_from(manifest_path: Path | None, **flags) -> SimpleNamespace:
     """Read each field of ``_FIELDS`` from its flag, else from the manifest file, if any.
+
+    ``inputs`` maps each input file's field to its path (None when none is
+    given), ``config`` is the ``ScenarioConfig`` and each run option is an
+    attribute.
 
     An explicit flag wins even when empty, but an empty path or month flag is
     an error. Relative paths in the file resolve against its directory, an
@@ -314,10 +289,13 @@ def _manifest_from(manifest_path: Path | None, **flags) -> RunManifest:
             options[f.key] = value
         elif value is not None:
             config[f.to] = value
-    return RunManifest(inputs=inputs, config=partial(ScenarioConfig, **config), **options)
+    return SimpleNamespace(inputs=inputs, config=ScenarioConfig(**config), **options)
 
 
-def _load_inputs(m: RunManifest):
+def _load_inputs(m: SimpleNamespace):
+    for name, path in m.inputs.items():
+        if path is None:
+            raise BasketflexError(f"no {name} file given (flag or manifest)")
     weights = _load(ingest.load_weights, m.inputs["weights"])
     prices = _load(ingest.load_prices, m.inputs["prices"])
     panel = _load(
@@ -326,16 +304,6 @@ def _load_inputs(m: RunManifest):
     )
     spec = _load(crosswalk.load_spec, m.inputs["crosswalk"])
     return weights, prices, panel, spec
-
-
-def _input_file(text: str) -> Path:
-    """argparse type of a path that must name an existing file."""
-    path = Path(text)
-    if not path.is_file():
-        exc = BasketflexError(f"{'not a file' if path.exists() else 'file not found'}: {text}")
-        exc.path = text
-        raise exc
-    return path
 
 
 def _option(*names: str, **kwargs):
@@ -354,7 +322,7 @@ def _command(name: str, *options):
     return register
 
 
-_MANIFEST_OPTION = _option("--manifest", type=_input_file,
+_MANIFEST_OPTION = _option("--manifest", type=Path,
                            help="JSON manifest carrying any of the other options.")
 
 
@@ -366,12 +334,15 @@ def _flag(f: _Field):
 def cmd_run(manifest, **flags) -> None:
     """Run a scenario and write result files into --out."""
     m = _manifest_from(manifest, **flags)
-    config = m.check()
+    config = m.config
+    if m.out is None:
+        raise BasketflexError("no output directory given (flag or manifest)")
     # the panel and spec are freed before pricing, the other inputs before writing
     weights, prices, panel, spec = _load_inputs(m)
     with _about(m.inputs["crosswalk"], SpecInvalidError):
         checked = analysis.check_scenario(config, weights, prices, panel, spec)
-        relatives = crosswalk.apply(spec, panel, checked.base, per_day=config.per_day_base)
+        relatives = crosswalk.apply(spec, panel, checked.base, config.per_day_base,
+                                    checked.axis)
     del panel, spec
     result = analysis.price_scenario(config, weights, checked, relatives)
     del weights, prices, checked, relatives
@@ -388,13 +359,13 @@ def cmd_run(manifest, **flags) -> None:
 def cmd_validate(manifest, **flags) -> None:
     """Check inputs and crosswalk coverage without running anything."""
     m = _manifest_from(manifest, **flags)
-    config = m.check(for_run=False)
+    config = m.config
     weights, prices, panel, spec = _load_inputs(m)
     try:
         with _about(m.inputs["crosswalk"], SpecInvalidError):
             checked = analysis.check_scenario(config, weights, prices, panel, spec)
         # run's last check, NonPositiveRelativeError, is only made by computing the relatives
-        crosswalk._relatives(spec, panel, checked.base, config.per_day_base)
+        crosswalk._relatives(spec, panel, checked.base, config.per_day_base, checked.axis)
     except SpecInvalidError as exc:
         _echo(*map(str, exc.findings))
         raise
@@ -406,7 +377,7 @@ def cmd_validate(manifest, **flags) -> None:
 
 @_command(
     "generate",
-    _option("--economy", required=True, type=_input_file,
+    _option("--economy", required=True, type=Path,
             help="Synthetic economy spec (JSON)."),
     _option("--out", required=True, help="Output directory."),
 )
@@ -426,7 +397,7 @@ def cmd_generate(economy, out) -> None:
 
 @_command(
     "compare",
-    _option("results", nargs="+", type=_input_file, metavar="RESULT",
+    _option("results", nargs="+", type=Path, metavar="RESULT",
             help="scenario_result.json files, compared in this order."),
     _option("--period", required=True, help="Month to compare, e.g. 2020-05."),
     _option("--out", help="Write the comparison table as CSV here."),

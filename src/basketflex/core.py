@@ -92,7 +92,7 @@ class ExpenditureRelativeVector(_ExpenditureRelativeVector):
             raise EmptyInputError("expenditure relative vector has no items")
         for item, de in self.relatives.items():
             if not (de > 0 and math.isfinite(de)):
-                raise NonPositiveRelativeError(item, de)
+                raise NonPositiveRelativeError(item, de, self.period)
 
 
 class _PriceRelativeSeries(NamedTuple):

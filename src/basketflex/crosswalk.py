@@ -274,8 +274,10 @@ def apply(
     panel: "ExpenditurePanel",
     base: Mapping[CategoryId, Decimal],
     per_day: bool = False,
+    months: Iterable[Month] | None = None,
 ) -> dict[Month, ExpenditureRelativeVector]:
-    """Expenditure relatives per month for every item the spec covers.
+    """Expenditure relatives for every item the spec covers, per month of
+    ``months`` (default: every panel month).
 
     Ratios divide a month's pooled spending by the pooled base value;
     ``constant`` items get 1.0, ``follow_peer`` items copy their resolved
@@ -295,11 +297,11 @@ def apply(
     if findings:
         raise SpecInvalidError(findings)
     check_base(spec, base)
-    return _relatives(spec, panel, base, per_day)
+    return _relatives(spec, panel, base, per_day, panel.months if months is None else months)
 
 
 def _relatives(spec: CrosswalkSpec, panel: "ExpenditurePanel", base: Mapping[CategoryId, Decimal],
-               per_day: bool) -> dict[Month, ExpenditureRelativeVector]:
+               per_day: bool, months: Iterable[Month]) -> dict[Month, ExpenditureRelativeVector]:
     """``apply``'s relatives of a spec that its checks have passed."""
     pools = item_pools(spec)
     consumed = sorted({c for cats in pools.values() for c in cats})
@@ -319,7 +321,7 @@ def _relatives(spec: CrosswalkSpec, panel: "ExpenditurePanel", base: Mapping[Cat
         total_base = sum(base[c] for c in consumed)
 
         out: dict[Month, ExpenditureRelativeVector] = {}
-        for month in panel.months:
+        for month in months:
             day_scale = Decimal(month.days()) if per_day else Decimal(1)
             relatives: dict[ItemId, float] = {}
             for item, cats in pools.items():

@@ -43,12 +43,14 @@ class ItemSetMismatchError(BasketflexError):
 
 
 class NonPositiveRelativeError(BasketflexError):
-    def __init__(self, item: str, value: float):
+    def __init__(self, item: str, value: float, period: Month):
         super().__init__(
-            f"expenditure relative for item {item!r} must be a finite number > 0, got {value}"
+            f"expenditure relative for item {item!r} at {period} must be a finite number > 0, "
+            f"got {value}"
         )
         self.item = item
         self.value = value
+        self.period = period
 
 
 class MissingPriceRelativeError(BasketflexError):

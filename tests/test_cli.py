@@ -354,6 +354,30 @@ def test_run_missing_input_file(example_manifest, tmp_path):
     assert "not found" in report["message"]
 
 
+LONG_NAME = "x" * 300  # past the 255 bytes a file name may have: the OS refuses to look
+
+
+@pytest.mark.parametrize("args, name", [
+    (("run", "--manifest", "{manifest}", "--weights", "{path}"), f"{LONG_NAME}.csv"),
+    (("validate", "--manifest", "{manifest}", "--weights", "{path}"), f"{LONG_NAME}.csv"),
+    (("run", "--manifest", "{path}"), f"{LONG_NAME}.json"),
+    (("compare", "{path}", "--period", "2020-05"), f"{LONG_NAME}.json"),
+    (("generate", "--economy", "{path}"), f"{LONG_NAME}.json"),
+    # neither a missing file nor a directory is read
+    (("run", "--manifest", "{manifest}", "--weights", "{path}"), "missing.csv"),
+    (("validate", "--manifest", "{manifest}", "--weights", "{path}"), "a-dir"),
+])
+def test_an_unreadable_input_exits_2_naming_it(example_manifest, tmp_path, args, name):
+    (tmp_path / "a-dir").mkdir()
+    path = tmp_path / name
+    out = ("--out", str(tmp_path / "out")) if args[0] in ("run", "generate") else ()
+    proc = run_cli(*(a.format(manifest=example_manifest, path=path) for a in args), *out)
+    message = _input_error_report(proc, path)["message"]
+    assert message.startswith({"missing.csv": "file not found", "a-dir": "not a file"}
+                              .get(name, "cannot read")), message
+    assert not (tmp_path / "out").exists()  # an input is refused before any output exists
+
+
 def test_validate_ok(example_manifest):
     proc = run_cli("validate", "--manifest", example_manifest)
     assert proc.returncode == 0, proc.stderr
@@ -472,6 +496,26 @@ def test_validate_and_run_report_the_same_error(example_dir, tmp_path, inputs, c
         reports.append(json.loads(proc.stderr.strip().splitlines()[-1]))
     assert reports[0] == reports[1]
     assert reports[0]["error"] == error and "internal" not in reports[0]
+    if error == "NonPositiveRelativeError":  # the month in which a pool spends nothing
+        assert reports[0]["period"] == ("2020-04" if inputs is _no_april_fuel else "2020-03")
+
+
+def test_a_month_dropped_from_the_axis_may_have_empty_cells(example_dir, tmp_path):
+    # 2021-07 has no price relatives, so the axis drops it; its fuel cell is empty
+    categories = sorted({line.split(",")[1] for line in
+                         (example_dir / "expenditures.csv").read_text().splitlines()[1:]})
+    ledger = tmp_path / "expenditures.csv"
+    ledger.write_text((example_dir / "expenditures.csv").read_text() + "".join(
+        f"2021-07-01,{c},10.00\n" for c in categories if c != "fuel"))
+    manifest = _manifest_file(example_dir, tmp_path, expenditures=str(ledger))
+    proc = run_cli("validate", "--manifest", manifest)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok: 11 items, 11 categories, 19 panel months")
+    out = tmp_path / "out"
+    proc = run_cli("run", "--manifest", manifest, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in EXPECTED_OUTPUTS} == GOLDEN_SHA256["default"]
 
 
 def test_validate_reports_findings(example_dir, tmp_path):
@@ -650,7 +694,7 @@ def test_outputs_are_written_atomically(example_manifest, tmp_path):
 
 
 def test_run_keeps_a_file_named_write_probe(example_manifest, tmp_path):
-    # the writability probe must not touch a file of the user's, whatever its name
+    # run creates its temp files under fresh names, so no file of the user's is touched
     out = tmp_path / "out"
     out.mkdir()
     (out / ".write-probe").write_bytes(b"user data\n")
@@ -677,6 +721,8 @@ def test_commands_never_call_umask(example_dir, tmp_path, monkeypatch):
     ("generate", "a-file/sub", "a-file/sub/weights.csv"),
     ("compare", "a-dir", "a-dir"),
     ("compare", "a-file/table.csv", "a-file/table.csv"),
+    ("run", "a-file", "a-file/scenario_result.json"),
+    ("run", "a-file/sub", "a-file/sub/scenario_result.json"),
 ])
 def test_unusable_out_path_exits_2(example_dir, example_result_text, tmp_path, command, out,
                                    written):
@@ -684,6 +730,8 @@ def test_unusable_out_path_exits_2(example_dir, example_result_text, tmp_path, c
     (tmp_path / "a-dir").mkdir()
     if command == "generate":
         args = ["generate", "--economy", str(example_dir / "economy.json")]
+    elif command == "run":
+        args = ["run", "--manifest", str(example_dir / "manifest.json")]
     else:
         result = tmp_path / "result.json"
         result.write_text(example_result_text)
@@ -935,6 +983,9 @@ def test_compare_names_the_result_that_lacks_the_period(example_result_text, tmp
     # neither covers 2030-01: the first in argument order is named
     proc = run_cli("compare", str(lacking), str(covering), "--period", "2030-01")
     assert _input_error_report(proc, lacking)["error"] == "PeriodNotCoveredError"
+    # a missing second file is found only when its turn comes
+    proc = run_cli("compare", str(covering), str(tmp_path / "missing.json"), "--period", "2030-01")
+    assert _input_error_report(proc, covering)["error"] == "PeriodNotCoveredError"
 
 
 def test_run_empty_country_flag_overrides_the_manifest(example_manifest, tmp_path):
@@ -1255,7 +1306,7 @@ def test_misshapen_documents_raise_only_input_errors(example_dir, example_result
     manifest = tmp_path_factory.getbasetemp() / "fuzzed-manifest.json"
     manifest.write_text(json.dumps(draw((example_dir / "manifest.json").read_text())))
     with contextlib.suppress(BasketflexError):
-        cli._manifest_from(manifest).config()
+        cli._manifest_from(manifest).config
 
 
 # `basketflex run --help` and `validate --help` at 80 columns: option names,
@@ -1407,7 +1458,7 @@ def test_each_field_reads_alike_from_its_flag_and_the_manifest(tmp_path, monkeyp
         (root / "manifest.json").write_text(json.dumps(doc))
         m = cli._manifest_from(root / "manifest.json", **{**parsed[0], "manifest": None})
         return m.inputs, {k: v for k, v in vars(m).items() if k not in ("inputs", "config")}, \
-            m.config()
+            m.config
 
     # a base month, given the same way, so that every configuration can be built
     base = {} if field.key == "base_months" else {"base_months": ["2019-12"]}
