@@ -43,6 +43,7 @@ from .core import (
 )
 from .errors import (
     BOOL,
+    DATE_PAIR,
     MONTH,
     NUMBER,
     STRING,
@@ -55,7 +56,6 @@ from .errors import (
     ResultFieldError,
     SpecInvalidError,
     check_shape,
-    parses,
 )
 from .periods import Month, month_range, parse_date
 
@@ -366,11 +366,6 @@ _NUMBERS = (
     "an object of finite numbers",
     lambda v: isinstance(v, dict) and all(map(NUMBER[1], v.values())),
 )
-_IS_DATE = parses(parse_date)
-_DATE_PAIR = (
-    "a [start, end] pair of dates",
-    lambda v: isinstance(v, list) and len(v) == 2 and all(map(_IS_DATE, v)),
-)
 
 
 # Each ScenarioConfig field but country_label: the shape of its JSON value, the
@@ -386,7 +381,7 @@ _CONFIG = {
         lambda text: None if text is None else Month.parse(text),
     ),
     "lockdown_windows?": (
-        [_DATE_PAIR],
+        [DATE_PAIR],
         lambda windows: [[start.isoformat(), end.isoformat()] for start, end in windows],
         lambda pairs: tuple((parse_date(a), parse_date(b)) for a, b in pairs),
     ),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime as dt
 import errno
 import json
 import logging
@@ -29,6 +28,8 @@ from . import analysis, crosswalk, ingest
 from .analysis import RESULT_JSON, ScenarioConfig
 from .errors import (
     BOOL,
+    DATE_PAIR,
+    MONTH,
     STRING,
     STRINGS,
     BasketflexError,
@@ -132,55 +133,28 @@ def _parse_month(text: str) -> Month:
         raise BasketflexError(str(exc))
 
 
-def _parse_date(text: str) -> dt.date:
-    try:
-        return parse_date(str(text).strip())
-    except ValueError:
-        raise BasketflexError(f"bad date {text!r}; expected YYYY-MM-DD")
-
-
-def _window(pair) -> tuple[dt.date, dt.date]:
-    if isinstance(pair, str):  # one START:END of the flag's form
-        pair = pair.split(":")
-    if len(pair) != 2:
-        raise BasketflexError(f"bad lockdown window {':'.join(pair)!r}; expected START:END dates")
-    return _parse_date(pair[0]), _parse_date(pair[1])
-
-
-def _each(read, values):
-    """``read`` each of ``values``; an error names the value's index in ``field``."""
-    for k, value in enumerate(values):
-        try:
-            yield read(value)
-        except BasketflexError as exc:
-            exc.field = f"[{k}]"
-            raise
-
-
 def _comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _windows(text: str) -> list[list[str]]:
+    """The [start, end] pairs of 'START:END,...' text, blanks around ',' and ':' dropped."""
+    return [[date.strip() for date in window.split(":")] for window in _comma_list(text)]
+
+
 class _Kind(NamedTuple):
-    shape: object  # the JSON shape of a manifest value, as errors.check_shape reads it
+    shape: object  # the JSON shape of a value that reads, as errors.check_shape reads it
     argparse: dict  # the arguments of its flag that turn flag text into such a value
     read: Callable  # read(value, root): the value a run uses; paths resolve against root
 
 
 _PATH = _Kind(STRING, {}, lambda value, root: root / value)
 _COMMA_LIST = _Kind(STRINGS, {"type": _comma_list}, lambda value, root: frozenset(value))
-_MONTHS = _Kind(STRINGS, {"type": _comma_list},
-                lambda value, root: tuple(_each(_parse_month, value)))
-_MONTH = _Kind(STRING, {}, lambda value, root: _parse_month(value) if value else None)
-_DATE_PAIRS = _Kind(
-    ("a list of [start, end] date pairs",
-     lambda v: isinstance(v, str) or (isinstance(v, list) and all(
-         isinstance(w, list) and len(w) == 2 and all(isinstance(d, str) for d in w) for w in v
-     ))),
-    {},  # 'start:end,start:end' is the flag's form; a manifest may use it too
-    lambda value, root: tuple(_each(_window, _comma_list(value) if isinstance(value, str)
-                                    else value)),
-)
+_MONTHS = _Kind([MONTH], {"type": _comma_list}, lambda value, root: tuple(map(Month.parse, value)))
+_MONTH = _Kind(("a month as YYYY-MM, or empty", lambda v: v == "" or MONTH[1](v)), {},
+               lambda value, root: Month.parse(value) if value else None)
+_DATE_PAIRS = _Kind([DATE_PAIR], {"type": _windows},
+                    lambda value, root: tuple((parse_date(a), parse_date(b)) for a, b in value))
 _BOOL = _Kind(BOOL, {"action": "store_true"}, lambda value, root: value)
 _TEXT = _Kind(STRING, {}, lambda value, root: value)
 
@@ -195,7 +169,7 @@ class _Field(NamedTuple):
     argparse: dict = {}  # more arguments of its flag
 
 
-# run's flags in this order; validate takes the first six
+# run's flags in this order
 _FIELDS = (
     _Field("weights", "--weights", _PATH, "input", "weights.csv path."),
     _Field("prices", "--prices", _PATH, "input", "prices.csv path."),
@@ -238,6 +212,8 @@ def _read_manifest(path: Path) -> dict:
     doc = _read_json(path)
     if isinstance(doc, dict):
         doc = {k: v for k, v in doc.items() if v is not None}
+        if isinstance(doc.get("lockdowns"), str):  # the flag's form
+            doc["lockdowns"] = _windows(doc["lockdowns"])
     check_shape(doc, _MANIFEST_SHAPE, ConfigError)
     return doc
 
@@ -274,15 +250,11 @@ def _manifest_from(manifest_path: Path | None, **flags) -> SimpleNamespace:
     for f in _FIELDS:
         flagged = flags.get(f.key) not in (None, False)  # argparse's values for no flag
         raw = flags[f.key] if flagged else doc.get(f.key, f.default)
-        if flagged and raw == "" and f.kind in (_PATH, _MONTH):
-            raise BasketflexError(f"{f.flag} is empty")
-        try:
-            value = None if raw is None else f.kind.read(raw, Path() if flagged else root)
-        except BasketflexError as exc:
-            exc.field = f.key + (getattr(exc, "field", None) or "")
-            if not flagged:
-                exc.path = str(manifest_path)
-            raise
+        if flagged:
+            if raw == "" and f.kind in (_PATH, _MONTH):
+                raise BasketflexError(f"{f.flag} is empty")
+            check_shape(raw, f.kind.shape, ConfigError, f.key)  # as _read_manifest does
+        value = None if raw is None else f.kind.read(raw, Path() if flagged else root)
         if f.to == "input":
             inputs[f.key] = value if raw else None
         elif f.to == "option":
@@ -355,7 +327,7 @@ def cmd_run(manifest, **flags) -> None:
           *(f"wrote {m.out / name}" for name in written))
 
 
-@_command("validate", _MANIFEST_OPTION, *map(_flag, _FIELDS[:6]))
+@_command("validate", _MANIFEST_OPTION, *(_flag(f) for f in _FIELDS if f.key != "out"))
 def cmd_validate(manifest, **flags) -> None:
     """Check inputs and crosswalk coverage without running anything."""
     m = _manifest_from(manifest, **flags)

@@ -376,9 +376,6 @@ _SPEC_SHAPE = {
     "notes?": _VALUE,
 }
 
-# None picks ``_text_loader`` of libyaml's scanner and parser when PyYAML was
-# built with it, else of the pure-Python loader; a loader set here is used as it is.
-_YAML_LOADER = None
 _KEPT_TAGS = ("tag:yaml.org,2002:null", "tag:yaml.org,2002:merge")
 
 
@@ -398,7 +395,8 @@ def parse_spec(text: str) -> CrosswalkSpec:
     """Parse the YAML configuration form of a crosswalk spec."""
     import yaml  # here, not at module level: only spec files need PyYAML
 
-    loader = _YAML_LOADER or _text_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    # libyaml's scanner and parser when PyYAML was built with it
+    loader = _text_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         doc = yaml.load(text, Loader=loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import reprlib
 import sys
 
-from .periods import Month
+from .periods import Month, parse_date
 
 
 class BasketflexError(Exception):
@@ -226,6 +226,9 @@ STRINGS = [STRING]
 NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
 BOOL = ("true or false", lambda v: isinstance(v, bool))
 MONTH = ("a month as YYYY-MM", parses(Month.parse))
+DATE = ("a date as YYYY-MM-DD", parses(parse_date))
+DATE_PAIR = ("a [start, end] pair of dates as YYYY-MM-DD",
+             lambda v: isinstance(v, list) and len(v) == 2 and all(map(DATE[1], v)))
 
 
 def check_shape(value, shape, error: type, field: str = "") -> None:

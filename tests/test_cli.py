@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import datetime as dt
 import functools
 import hashlib
 import io
@@ -200,7 +201,7 @@ def test_run_config_errors_exit_2(example_dir, tmp_path, flags, manifest_field):
     "shape, field",
     [
         ([], None),
-        ({"lockdowns": [["2020-03-01"]]}, "lockdowns"),
+        ({"lockdowns": [["2020-03-01"]]}, "lockdowns[0]"),
         ({"fixed_weight_month": 5}, "fixed_weight_month"),
         ({"base_months": "2020-01"}, "base_months"),
         ({"core_exclude": "energy"}, "core_exclude"),
@@ -1355,6 +1356,11 @@ Usage: basketflex validate [--help] [--manifest MANIFEST] [--weights WEIGHTS]
                            [--prices PRICES] [--expenditures EXPENDITURES]
                            [--crosswalk CROSSWALK] [--base-months BASE_MONTHS]
                            [--allow-negative-amounts]
+                           [--core-exclude CORE_EXCLUDE]
+                           [--fixed-weight-month FIXED_WEIGHT_MONTH]
+                           [--lockdowns LOCKDOWNS] [--country COUNTRY]
+                           [--annual-method {chained,fixed_base}]
+                           [--per-day-base]
 
 Check inputs and crosswalk coverage without running anything.
 
@@ -1371,6 +1377,18 @@ options:
                         Comma-separated base months, e.g. 2020-01,2020-02.
   --allow-negative-amounts
                         Accept negative daily amounts (refunds/chargebacks).
+  --core-exclude CORE_EXCLUDE
+                        Comma-separated items excluded from the core index.
+  --fixed-weight-month FIXED_WEIGHT_MONTH
+                        Freeze adjusted weights at this month (robustness
+                        variant).
+  --lockdowns LOCKDOWNS
+                        Lockdown windows as START:END dates, comma separated
+                        (annotation only).
+  --country COUNTRY     Label used in comparisons and outputs.
+  --annual-method {chained,fixed_base}
+                        How 12-month rates are built (default: chained).
+  --per-day-base        Normalize month totals by day count before ratios.
 """
 
 
@@ -1383,15 +1401,16 @@ def test_help_text_is_unchanged(command, text):
 
 @pytest.mark.parametrize("field, changes, flag, message", [
     ("base_months[1]", {"base_months": ["2020-01", "2020-13"]},
-     ("--base-months", "2020-01,2020-13"), "month number out of range 1..12: 13"),
+     ("--base-months", "2020-01,2020-13"), "must be a month as YYYY-MM, got '2020-13'"),
     ("fixed_weight_month", {"fixed_weight_month": "2020-4"},
-     ("--fixed-weight-month", "2020-4"), "expected a month as YYYY-MM, got '2020-4'"),
+     ("--fixed-weight-month", "2020-4"), "must be a month as YYYY-MM, or empty, got '2020-4'"),
     ("lockdowns[1]", {"lockdowns": [["2020-03-01", "2020-05-31"], ["2020-09-01", "2020-13-31"]]},
      ("--lockdowns", "2020-03-01:2020-05-31,2020-09-01:2020-13-31"),
-     "bad date '2020-13-31'; expected YYYY-MM-DD"),
+     "must be a [start, end] pair of dates as YYYY-MM-DD, got ['2020-09-01', '2020-13-31']"),
     # date.fromisoformat takes both dates from Python 3.11 on
     ("lockdowns[0]", {"lockdowns": [["2020-W09-7", "20200531"]]},
-     ("--lockdowns", "2020-W09-7:20200531"), "bad date '2020-W09-7'; expected YYYY-MM-DD"),
+     ("--lockdowns", "2020-W09-7:20200531"),
+     "must be a [start, end] pair of dates as YYYY-MM-DD, got ['2020-W09-7', '20200531']"),
 ], ids=["base-months", "fixed-weight-month", "lockdowns", "lockdowns-iso-week"])
 @pytest.mark.parametrize("source", ["manifest", "flag"])
 def test_bad_field_value_names_its_field(example_dir, tmp_path, source, field, changes, flag,
@@ -1403,9 +1422,60 @@ def test_bad_field_value_names_its_field(example_dir, tmp_path, source, field, c
     assert proc.returncode == 2, proc.stderr
     report = json.loads(proc.stderr.strip().splitlines()[-1])
     assert (report["error"], report["message"], report["field"]) == (
-        "BasketflexError", message, field)
+        "ConfigError", f"field {field!r} {message}", field)
+    assert "internal" not in report
     assert report.get("path") == (manifest if source == "manifest" else None)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("changes, flag, field", [
+    ({"base_months": ["2020-13"]}, ("--base-months", "2020-01"), "base_months[0]"),
+    ({"fixed_weight_month": "2020-4"}, ("--fixed-weight-month", "2020-04"), "fixed_weight_month"),
+    ({"lockdowns": "2020-03-01:2020-13-31"}, ("--lockdowns", ""), "lockdowns[0]"),
+], ids=["base-months", "fixed-weight-month", "lockdowns"])
+def test_a_manifest_value_that_does_not_read_is_refused_under_its_flag(example_dir, tmp_path,
+                                                                       changes, flag, field):
+    # as one of the wrong JSON type is: the whole manifest is checked as it is read
+    manifest = _manifest_file(example_dir, tmp_path, **changes)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as exc:
+        cli.dispatch(["run", "--manifest", manifest, *flag, "--out", str(out)])
+    assert (exc.value.field, exc.value.path) == (field, manifest)
+    assert not out.exists()
+
+
+def test_a_manifest_date_has_no_blanks_around_it(example_dir, tmp_path):
+    manifest = Path(_manifest_file(example_dir, tmp_path,
+                                   lockdowns=[[" 2020-03-01", "2020-05-31"]]))
+    with pytest.raises(ConfigError, match="pair of dates") as exc:
+        cli._manifest_from(manifest)
+    assert exc.value.field == "lockdowns[0]"
+    # the flag's text drops blanks around "," and ":"
+    windows = cli._windows(" 2020-03-01 : 2020-05-31 , ")
+    assert windows == [["2020-03-01", "2020-05-31"]]
+    m = cli._manifest_from(example_dir / "manifest.json", lockdowns=windows)
+    assert m.config.lockdown_windows == (
+        (dt.date(2020, 3, 1), dt.date(2020, 5, 31)),)
+
+
+def test_manifest_lockdowns_as_the_flags_text_read_like_the_list(example_dir, tmp_path):
+    def config(lockdowns):
+        return cli._manifest_from(Path(_manifest_file(example_dir, tmp_path,
+                                                      lockdowns=lockdowns))).config
+
+    as_list = config([["2020-03-01", "2020-05-31"], ["2020-09-01", "2020-10-31"]])
+    assert len(as_list.lockdown_windows) == 2
+    assert config("2020-03-01:2020-05-31, 2020-09-01 : 2020-10-31") == as_list
+
+
+def test_validate_takes_every_flag_of_run_but_out(example_manifest, tmp_path):
+    for command, out in (("run", ("--out", str(tmp_path / "out"))), ("validate", ())):
+        proc = run_cli(command, "--manifest", example_manifest, "--core-exclude", "nosuch", *out)
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert (report["error"], report["item"]) == ("UnknownItemError", "nosuch"), command
+    proc = run_cli("validate", "--manifest", example_manifest, "--out", str(tmp_path / "out"))
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["error"] == "UsageError"
 
 
 def test_generate_refuses_a_ledger_that_run_refuses(example_dir, tmp_path):

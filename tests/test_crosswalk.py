@@ -382,14 +382,14 @@ def test_spec_is_the_same_under_each_yaml_loader(
             used.append(stream)
             super().__init__(stream)
 
-    monkeypatch.setattr(cw, "_YAML_LOADER", Recording)
+    monkeypatch.setattr(yaml, "CSafeLoader", Recording, raising=False)
     bom = tmp_path / "bom.yaml"
     bom.write_bytes(b"\xef\xbb\xbf" + bundled.read_bytes())
     assert cw.load_spec(bundled) == reference
     assert cw.load_spec(bom) == reference
     assert len(used) == 2
 
-    too_many_digits = "rules: " + "1" * 5000 + "\n"  # int() refuses it with a ValueError
+    too_many_digits = "rules: !!int " + "1" * 5000 + "\n"  # int() refuses it with a ValueError
     for k, text in enumerate(["rules: [a\n", "rules: a: b\n", "rules:\n\t- x\n", "\x01\n",
                               too_many_digits]):
         bad = tmp_path / f"bad{k}.yaml"
@@ -420,7 +420,7 @@ def test_spec_reads_ids_as_written(loader, example_dir, monkeypatch):
     reference = cw.parse_spec(bundled)
     assert cw.parse_spec("rules:\n  - {target: a, kind: direct, source: 0x1F}\n").rules[0].sources \
         == ("0x1F",)  # the default loader
-    monkeypatch.setattr(cw, "_YAML_LOADER", cw._text_loader(loader))
+    monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
     assert cw.parse_spec(bundled) == reference
     for written in IDS_AS_WRITTEN:
         spec = cw.parse_spec(
@@ -444,7 +444,7 @@ def test_spec_reads_ids_as_written(loader, example_dir, monkeypatch):
 @pytest.mark.parametrize("value", ["", "~", "null", "!!binary aGVsbG8=", "!!int 5", "!!float 1",
                                    "!!bool yes", "!!timestamp 2020-01-01"])
 def test_spec_refuses_a_null_or_tagged_non_string(loader, value, monkeypatch):
-    monkeypatch.setattr(cw, "_YAML_LOADER", cw._text_loader(loader))
+    monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
     assert cw.parse_spec("rules:\n  - {target: a, kind: direct, source: !!str 5}\n").rules[0] \
         == cw.Rule("a", "direct", ("5",))
     with pytest.raises(SpecInvalidError) as exc:
