@@ -304,7 +304,7 @@ def fixed_base_annual(
     """
     first = period.plus(-11)
     first_index = first.index
-    total = 0.0
+    terms = []
     for item, w in weights.shares.items():
         series = prices.get(item)
         if series is None:
@@ -317,8 +317,8 @@ def fixed_base_annual(
         if lo + 12 > len(values):
             raise MissingPriceRelativeError(item, series.end.next())
         factor = math.prod(values[lo : lo + 12], start=1.0)
-        total += w * (factor - 1.0) * 100.0
-    return total
+        terms.append(w * (factor - 1.0) * 100.0)
+    return math.fsum(terms)  # exactly rounded, so the same in any order of the weights
 
 
 def exclude_items(weights: WeightVector, excluded: Iterable[ItemId]) -> WeightVector:

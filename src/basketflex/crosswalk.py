@@ -326,9 +326,9 @@ def _relatives(spec: CrosswalkSpec, panel: "ExpenditurePanel", base: Mapping[Cat
             relatives: dict[ItemId, float] = {}
             for item, cats in pools.items():
                 spend = sum((panel.total(c, month) for c in cats), Decimal(0))
-                relatives[item] = float(spend / day_scale) / float(pool_base[item])
+                relatives[item] = float(spend / day_scale / pool_base[item])
             total_spend = sum(panel.total(c, month) for c in consumed)
-            total_relative = float(total_spend / day_scale) / float(total_base)
+            total_relative = float(total_spend / day_scale / total_base)
 
             for r in spec.rules:
                 if r.kind == "constant":

@@ -37,25 +37,25 @@ EXPECTED_OUTPUTS = {
 # run, fails here.
 GOLDEN_SHA256 = {
     "default": {
-        "bias.csv": "d8ffe21f5c21e3012dfd5b6991b2df4b5ae911fc7d8e813ccb2637917e992de1",
-        "contributions.csv": "53a9414d5177d72f912aadf94d4a45e4eea2c1285576cc4e0f13128107a1ad90",
-        "inflation.csv": "4e40764456935169482937c70244d9c68f681dc2813bd1a24fd13e2de85b735b",
-        "scenario_result.json": "7912584679047f06aa38551b95c0d487cf2d062ea4ac0aebc90bc1381dd54100",
-        "weights.csv": "e76ee37c63a607a446cd79c67cbf725b02053504647709bee38f6b9ff3323f97",
+        "bias.csv": "d9900e974f0b3ccf16626fa716ab8df7f0848849752b6643b0540b2e5f5ff87e",
+        "contributions.csv": "47ed713e12f0a9def8169b8e586d128a67d065d444bdcea19ba689ff1f5184c8",
+        "inflation.csv": "05f9fd0702e091e6743c07dbcd11bf430ba6453c385fb4acb24c36189842b69e",
+        "scenario_result.json": "0855dbd8bee05599300326d5afb1cacf3d6520fe35660db1d79a70954087819e",
+        "weights.csv": "0c05cabfcd3453aba30beeb4d7cbe59201cb52fae42a472ccf5d02624203699f",
     },
     "fixed-weight": {
-        "bias.csv": "369b8897650446476722d23923d58d332ac5e845e58f638f076db220a48d966c",
-        "contributions.csv": "b08fba7734766184f484bbb725649d7dd860925c298981e5ca194a45f81a019f",
-        "inflation.csv": "e4c8f899c82b81fa22c7d5f2fe3ee51a07d808b4fc7550ba886186c71c633f1c",
-        "scenario_result.json": "9fe3f1bd411331b074c556a7f56a9b6841aaf64303f530bbe43da39da58aed49",
-        "weights.csv": "acffe970ae96b4a33afc5f0f7652b93c518deed86e2b088ad8c352662edf2f4d",
+        "bias.csv": "021f50328fe1e386817d0e51bd48e721e682bf94fa7f3c7bb19b267bfa152720",
+        "contributions.csv": "157eb599fffabb36b09459a7cb1af8e1970555868924d36ac34b060663271fd8",
+        "inflation.csv": "226dcc96e5c4299e7d29433301647f3c24f305db442282af0c580fda5a41ee7e",
+        "scenario_result.json": "f08331046d594f224f235380237123b63a30f13da2565c8fd1e4507f730cdcc3",
+        "weights.csv": "3478c6047b64f7fb5c7606653f2d9e233e174913c773fc95ab637ecc6d4c5dc1",
     },
     "fixed-base": {
-        "bias.csv": "48a620265d87b90a483371a3d84efc8ac7450d93741757f1f8153811aa7c81c4",
-        "contributions.csv": "53a9414d5177d72f912aadf94d4a45e4eea2c1285576cc4e0f13128107a1ad90",
-        "inflation.csv": "32309fd07f36dbd535b46b691e1a00ca50b44d359691215cfec7e89ea6627748",
-        "scenario_result.json": "abdadf918d041463e3550e372ee94e64e67618d6e97864504d594d4785adc8c9",
-        "weights.csv": "e76ee37c63a607a446cd79c67cbf725b02053504647709bee38f6b9ff3323f97",
+        "bias.csv": "6aae61ca1af15cdc6b09c44ffd4fb238fe56bf1d112e8227b55869c6a3ebc35c",
+        "contributions.csv": "47ed713e12f0a9def8169b8e586d128a67d065d444bdcea19ba689ff1f5184c8",
+        "inflation.csv": "eac3b3c1b340314dd1eb5b51ab1e236498eaa039d68bc61d02a24cd310b3e7d3",
+        "scenario_result.json": "410d53d1974a6e2e0bf76ec4fba035c5e0f20ef1c9c16a22547be7a3e94fa9b3",
+        "weights.csv": "0c05cabfcd3453aba30beeb4d7cbe59201cb52fae42a472ccf5d02624203699f",
     },
 }
 GOLDEN_FLAGS = {

@@ -269,8 +269,9 @@ def test_fixed_base_annual_matches_chaining_for_uniform_inflation():
 
 def month_stepping_fixed_base_annual(weights, prices, period):
     """Reference: looks up each of the twelve months by stepping back from
-    ``period``, multiplying the factors in chronological order."""
-    total = 0.0
+    ``period``, multiplying the factors in chronological order; the terms
+    are summed exactly rounded."""
+    terms = []
     for item, w in weights.shares.items():
         series = prices.get(item)
         factor = 1.0
@@ -280,8 +281,8 @@ def month_stepping_fixed_base_annual(weights, prices, period):
             if rel is None:
                 raise MissingPriceRelativeError(item, m)
             factor *= rel
-        total += w * (factor - 1.0) * 100.0
-    return total
+        terms.append(w * (factor - 1.0) * 100.0)
+    return math.fsum(terms)
 
 
 def _outcome(fn, weights, prices, period):

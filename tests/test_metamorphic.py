@@ -6,6 +6,7 @@ is fed through both readers: as LF text to the block reader, and as a CRLF
 copy to the row reader. Outputs are compared by SHA-256, with no tolerance.
 """
 
+import functools
 import hashlib
 import random
 from decimal import Decimal as D
@@ -118,6 +119,16 @@ def _split(text: str, rng: random.Random) -> str:
     return "".join(lines)
 
 
+def _scaled(text: str, rng: random.Random, k: int) -> str:
+    """Every amount times 10**k, written exactly."""
+    header, *rows = text.splitlines(keepends=True)
+    lines = [header]
+    for row in rows:
+        day, category, amount = row.rstrip("\n").split(",")
+        lines.append(f"{day},{category},{D(amount).scaleb(k):f}\n")
+    return "".join(lines)
+
+
 def _with_zeros(text: str, rng: random.Random) -> str:
     header, *rows = text.splitlines(keepends=True)
     for _ in range(50):
@@ -146,6 +157,8 @@ REWRITES = {
     "shuffled-records": (("expenditures.csv",), _shuffled),
     "split-records": (("expenditures.csv",), _split),
     "zero-records": (("expenditures.csv",), _with_zeros),
+    **{f"scaled-records-1e{k}": (("expenditures.csv",), functools.partial(_scaled, k=k))
+       for k in range(1, 7)},
     "shuffled-weights": (("weights.csv",), _shuffled),
     "shuffled-prices": (("prices.csv",), _shuffled),
     "comment-lines": (INPUTS, _commented),
@@ -156,10 +169,7 @@ REWRITES = {
 @pytest.mark.parametrize("crlf", [False, True], ids=["block-reader", "row-reader"])
 @pytest.mark.parametrize("rewrite", list(REWRITES))
 @pytest.mark.parametrize("case", ["example", *ECONOMIES])
-def test_rewritten_inputs_give_the_same_bytes(cases, tmp_path, request, case, rewrite, crlf):
-    if (case, rewrite) == ("synth-annual", "shuffled-weights"):
-        request.applymarker(pytest.mark.xfail(
-            strict=True, reason="core.fixed_base_annual adds its terms in weights.csv order"))
+def test_rewritten_inputs_give_the_same_bytes(cases, tmp_path, case, rewrite, crlf):
     texts, flags = cases[case]
     names, rewritten = REWRITES[rewrite]
     rng = random.Random(f"{case}/{rewrite}")
