@@ -226,9 +226,8 @@ STRINGS = [STRING]
 NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
 BOOL = ("true or false", lambda v: isinstance(v, bool))
 MONTH = ("a month as YYYY-MM", parses(Month.parse))
-DATE = ("a date as YYYY-MM-DD", parses(parse_date))
 DATE_PAIR = ("a [start, end] pair of dates as YYYY-MM-DD",
-             lambda v: isinstance(v, list) and len(v) == 2 and all(map(DATE[1], v)))
+             lambda v: isinstance(v, list) and len(v) == 2 and all(map(parses(parse_date), v)))
 
 
 def check_shape(value, shape, error: type, field: str = "") -> None:
