@@ -56,8 +56,10 @@ from .errors import (
     ResultFieldError,
     SpecInvalidError,
     check_shape,
+    is_number,
+    only,
 )
-from .periods import Month, month_range, parse_date
+from .periods import Month, month_range
 
 ANNUAL_METHODS = ("chained", "fixed_base")
 
@@ -85,10 +87,15 @@ class ScenarioConfig(_ScenarioConfig):
     compounds the monthly rates (the default; the only construction fully
     consistent with weights that change every month) or ``fixed_base``,
     which reprices each item's compounded 12-month change with the current
-    basket, kept as a comparison variant.
+    basket, kept as a comparison variant. ``core_exclusions`` may be given
+    as any iterable of item ids; it is kept as a frozenset.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        return config._replace(core_exclusions=frozenset(config.core_exclusions))
 
     def __init__(self, *args, **kwargs) -> None:  # checks the fields __new__ set
         if not self.base_months:
@@ -334,7 +341,7 @@ def _head_dict(result: ScenarioResult) -> dict:
         "schema": RESULT_SCHEMA,
         "country": cfg.country_label,
         "variant": cfg.variant,
-        "config": {name: dump(getattr(cfg, name)) for name, (_, dump, _) in _CONFIG_FIELDS},
+        "config": {name: dump(getattr(cfg, name)) for name, (_, dump) in _CONFIG_FIELDS},
         "periods": [str(m) for m in result.periods],
         "in_lockdown": [cfg.in_lockdown(m) for m in result.periods],
     }
@@ -361,32 +368,30 @@ def result_to_dict(result: ScenarioResult) -> dict:
 
 
 # JSON shape of a result document, in the form ``errors.check_shape`` reads.
-_NUMBER_OR_NULL = ("a finite number or null", lambda v: v is None or NUMBER[1](v))
+_NUMBER_OR_NULL = ("a finite number or null", only(lambda v: v is None or is_number(v)))
+# the document's own dict, each value tested, none by its truth (0.0 is false)
 _NUMBERS = (
     "an object of finite numbers",
-    lambda v: isinstance(v, dict) and all(map(NUMBER[1], v.values())),
+    only(lambda v: isinstance(v, dict) and all(map(is_number, v.values()))),
 )
 
 
-# Each ScenarioConfig field but country_label: the shape of its JSON value, the
-# JSON value of the field and the field of the JSON value. A key ending in "?"
-# may be absent from the result's ``config``, and then takes the default.
+# Each ScenarioConfig field but country_label: the shape that reads its JSON
+# value, and the JSON value of the field. A key ending in "?" may be absent
+# from the result's ``config``, and then takes the default.
 _CONFIG = {
-    "base_months": ([MONTH], lambda months: list(map(str, months)),
-                    lambda texts: tuple(map(Month.parse, texts))),
-    "core_exclusions?": (STRINGS, sorted, frozenset),
+    "base_months": ([MONTH], lambda months: list(map(str, months))),
+    "core_exclusions?": (STRINGS, sorted),
     "fixed_weight_month?": (
-        ("a month or null", lambda v: v is None or MONTH[1](v)),
+        ("a month or null", lambda v: None if v is None else Month.parse(v)),
         lambda month: None if month is None else str(month),
-        lambda text: None if text is None else Month.parse(text),
     ),
     "lockdown_windows?": (
         [DATE_PAIR],
         lambda windows: [[start.isoformat(), end.isoformat()] for start, end in windows],
-        lambda pairs: tuple((parse_date(a), parse_date(b)) for a, b in pairs),
     ),
-    "annual_method?": (STRING, str, str),
-    "per_day_base?": (BOOL, bool, bool),
+    "annual_method?": (STRING, str),
+    "per_day_base?": (BOOL, bool),
 }
 _CONFIG_FIELDS = [(key.rstrip("?"), row) for key, row in _CONFIG.items()]
 _POINT = {"period": MONTH, "monthly_pct": NUMBER, "contributions?": _NUMBERS,
@@ -395,9 +400,9 @@ _BIAS = {"period": MONTH, "monthly_pp": NUMBER, "annual_pp?": _NUMBER_OR_NULL}
 _VECTOR = {"period": MONTH, "shares": _NUMBERS, "raw_sum?": NUMBER}
 _RESULT_SHAPE = {
     # first, so that a document of another schema is named as such
-    "schema": (repr(RESULT_SCHEMA), lambda v: v == RESULT_SCHEMA),
+    "schema": (repr(RESULT_SCHEMA), only(lambda v: v == RESULT_SCHEMA)),
     "country?": STRING,
-    "config": {key: shape for key, (shape, _, _) in _CONFIG.items()},
+    "config": {key: shape for key, (shape, _) in _CONFIG.items()},
     "periods": [MONTH],
     "weights": {"official": [_VECTOR], "adjusted": [_VECTOR]},
     "series": {name: [_POINT] for name in SERIES_NAMES},
@@ -409,34 +414,20 @@ _RESULT_SHAPE = {
 def result_from_dict(doc: Mapping) -> ScenarioResult:
     """Rebuild a scenario result from its JSON form.
 
-    A document of another ``schema``, or with a field missing or of the
-    wrong JSON type, raises ``ResultFieldError`` naming the field, e.g.
-    ``weights.official[0].shares``.
+    A document of another ``schema``, or with a field missing, of the wrong
+    JSON type or that does not read (a month with blanks around it), raises
+    ``ResultFieldError`` naming the field, e.g. ``weights.official[0].shares``.
     """
-    check_shape(doc, _RESULT_SHAPE, ResultFieldError)
-    cfg_doc = doc["config"]
-    config = ScenarioConfig(
-        country_label=doc.get("country", ""),
-        **{name: read(cfg_doc[name]) for name, (_, _, read) in _CONFIG_FIELDS if name in cfg_doc},
-    )
-
-    def read(cls, entries) -> tuple:
-        """Each entry as a ``cls`` of the fields it has, with its period parsed."""
-        fields = [name for name in cls._fields if name != "period"]
-        return tuple(
-            cls(period=Month.parse(e["period"]), **{name: e[name] for name in fields if name in e})
-            for e in entries
-        )
-
-    series = doc["series"]
+    doc = check_shape(doc, _RESULT_SHAPE, ResultFieldError)
+    weights, series = doc["weights"], doc["series"]
     return ScenarioResult(
-        config=config,
-        periods=tuple(Month.parse(m) for m in doc["periods"]),
-        official_weights=read(WeightVector, doc["weights"]["official"]),
-        adjusted_weights=read(WeightVector, doc["weights"]["adjusted"]),
-        **{name: read(InflationPoint, series[name]) for name in SERIES_NAMES},
-        bias=read(BiasPoint, doc["bias"]),
-        core_bias=read(BiasPoint, doc["core_bias"]),
+        config=ScenarioConfig(country_label=doc.get("country", ""), **doc["config"]),
+        periods=doc["periods"],
+        official_weights=tuple(WeightVector(**e) for e in weights["official"]),
+        adjusted_weights=tuple(WeightVector(**e) for e in weights["adjusted"]),
+        **{name: tuple(InflationPoint(**e) for e in series[name]) for name in SERIES_NAMES},
+        bias=tuple(BiasPoint(**e) for e in doc["bias"]),
+        core_bias=tuple(BiasPoint(**e) for e in doc["core_bias"]),
     )
 
 

@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import analysis, crosswalk, ingest
 from .analysis import RESULT_JSON, ScenarioConfig
@@ -37,8 +37,9 @@ from .errors import (
     SpecInvalidError,
     UsageError,
     check_shape,
+    only,
 )
-from .periods import Month, parse_date
+from .periods import Month
 
 log = logging.getLogger("basketflex")
 
@@ -126,13 +127,6 @@ def _load(loader, path: Path):
             raise BasketflexError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _parse_month(text: str) -> Month:
-    try:
-        return Month.parse(text)
-    except ValueError as exc:
-        raise BasketflexError(str(exc))
-
-
 def _comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -143,20 +137,21 @@ def _windows(text: str) -> list[list[str]]:
 
 
 class _Kind(NamedTuple):
-    shape: object  # the JSON shape of a value that reads, as errors.check_shape reads it
+    shape: object  # the JSON shape of its value, which errors.check_shape reads for a run
     argparse: dict  # the arguments of its flag that turn flag text into such a value
-    read: Callable  # read(value, root): the value a run uses; paths resolve against root
 
 
-_PATH = _Kind(STRING, {}, lambda value, root: root / value)
-_COMMA_LIST = _Kind(STRINGS, {"type": _comma_list}, lambda value, root: frozenset(value))
-_MONTHS = _Kind([MONTH], {"type": _comma_list}, lambda value, root: tuple(map(Month.parse, value)))
-_MONTH = _Kind(("a month as YYYY-MM, or empty", lambda v: v == "" or MONTH[1](v)), {},
-               lambda value, root: Month.parse(value) if value else None)
-_DATE_PAIRS = _Kind([DATE_PAIR], {"type": _windows},
-                    lambda value, root: tuple((parse_date(a), parse_date(b)) for a, b in value))
-_BOOL = _Kind(BOOL, {"action": "store_true"}, lambda value, root: value)
-_TEXT = _Kind(STRING, {}, lambda value, root: value)
+# compare kinds with ``is``: _PATH and _TEXT are equal
+_PATH = _Kind(STRING, {})
+_COMMA_LIST = _Kind(STRINGS, {"type": _comma_list})
+_MONTHS = _Kind([MONTH], {"type": _comma_list})
+_MONTH = _Kind(("a month as YYYY-MM, or empty", lambda v: None if v == "" else Month.parse(v)), {})
+_DATE_PAIRS = _Kind([DATE_PAIR], {"type": _windows})
+_BOOL = _Kind(BOOL, {"action": "store_true"})
+_TEXT = _Kind(STRING, {})
+# the shape of a flag that may not be empty: a path or month flag does not
+# fall back to the manifest, and --out not to the working directory
+_GIVEN = ("a non-empty string", only(bool))
 
 
 class _Field(NamedTuple):
@@ -165,7 +160,7 @@ class _Field(NamedTuple):
     kind: _Kind
     to: str  # "input" (a file), "option" (of the run) or the ScenarioConfig argument
     help: str
-    default: object = None  # in manifest form, when neither flag nor manifest gives one
+    default: object = None  # as read, when neither flag nor manifest gives one
     argparse: dict = {}  # more arguments of its flag
 
 
@@ -177,7 +172,7 @@ _FIELDS = (
            "expenditures.csv path (daily records)."),
     _Field("crosswalk", "--crosswalk", _PATH, "input", "Crosswalk spec YAML path."),
     _Field("base_months", "--base-months", _MONTHS, "base_months",
-           "Comma-separated base months, e.g. 2020-01,2020-02.", default=[]),
+           "Comma-separated base months, e.g. 2020-01,2020-02.", default=()),
     _Field("allow_negative_amounts", "--allow-negative-amounts", _BOOL, "option",
            "Accept negative daily amounts (refunds/chargebacks).", default=False),
     _Field("core_exclude", "--core-exclude", _COMMA_LIST, "core_exclusions",
@@ -214,8 +209,7 @@ def _read_manifest(path: Path) -> dict:
         doc = {k: v for k, v in doc.items() if v is not None}
         if isinstance(doc.get("lockdowns"), str):  # the flag's form
             doc["lockdowns"] = _windows(doc["lockdowns"])
-    check_shape(doc, _MANIFEST_SHAPE, ConfigError)
-    return doc
+    return check_shape(doc, _MANIFEST_SHAPE, ConfigError)
 
 
 def _read_result(path: Path) -> analysis.ScenarioResult:
@@ -235,9 +229,9 @@ def _manifest_from(manifest_path: Path | None, **flags) -> SimpleNamespace:
     attribute.
 
     An explicit flag wins even when empty, but an empty path or month flag is
-    an error. Relative paths in the file resolve against its directory, an
-    empty input path gives no file and an empty month none. A bad value names
-    its field, and the manifest if it came from there.
+    a ``ConfigError``. Relative paths in the file resolve against its
+    directory, an empty input path gives no file and an empty month none. A
+    bad value names its field, and the manifest if it came from there.
     """
     doc: dict = {}
     root = Path()
@@ -249,12 +243,15 @@ def _manifest_from(manifest_path: Path | None, **flags) -> SimpleNamespace:
     options: dict = {}
     for f in _FIELDS:
         flagged = flags.get(f.key) not in (None, False)  # argparse's values for no flag
-        raw = flags[f.key] if flagged else doc.get(f.key, f.default)
-        if flagged:
-            if raw == "" and f.kind in (_PATH, _MONTH):
-                raise BasketflexError(f"{f.flag} is empty")
-            check_shape(raw, f.kind.shape, ConfigError, f.key)  # as _read_manifest does
-        value = None if raw is None else f.kind.read(raw, Path() if flagged else root)
+        if not flagged:
+            raw = doc.get(f.key, f.default)
+        else:
+            if f.kind is _PATH or f.kind is _MONTH:
+                check_shape(flags[f.key], _GIVEN, ConfigError, f.key)
+            raw = check_shape(flags[f.key], f.kind.shape, ConfigError, f.key)  # as in a manifest
+        value = raw
+        if f.kind is _PATH and raw is not None:
+            value = (Path() if flagged else root) / raw
         if f.to == "input":
             inputs[f.key] = value if raw else None
         elif f.to == "option":
@@ -357,6 +354,7 @@ def cmd_generate(economy, out) -> None:
     """Generate synthetic weights/prices/expenditures CSV files."""
     from . import synth  # the only command that needs it
 
+    check_shape(out, _GIVEN, ConfigError, "out")
     files = _load(lambda path: synth.generate(synth.load_economy(path)), economy)
     texts = {"weights.csv": files.weights_csv, "prices.csv": files.prices_csv,
              "expenditures.csv": files.expenditures_csv}
@@ -376,7 +374,9 @@ def cmd_generate(economy, out) -> None:
 )
 def cmd_compare(results, period, out) -> None:
     """Compare the weighting bias of several scenario_result.json files."""
-    month = _parse_month(period)
+    month = check_shape(period, MONTH, ConfigError, "period")
+    if out is not None:
+        check_shape(out, _GIVEN, ConfigError, "out")
 
     def read(path: Path) -> analysis.ScenarioResult:
         result = _read_result(path)
@@ -391,7 +391,7 @@ def cmd_compare(results, period, out) -> None:
     rows = analysis.comparison_rows(table)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     _echo(*("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows))
-    if out:
+    if out is not None:
         _write_atomic(Path(out), _csv_text(rows))
         _echo(f"wrote {out}")
 

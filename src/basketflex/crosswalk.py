@@ -31,7 +31,7 @@ from decimal import Decimal, localcontext
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .core import ExpenditureRelativeVector, ItemId
-from .errors import SpecInvalidError, ZeroBaseError, check_shape
+from .errors import STRING, SpecInvalidError, ZeroBaseError, check_shape
 from .periods import Month
 
 if TYPE_CHECKING:
@@ -364,10 +364,7 @@ def _relatives(spec: CrosswalkSpec, panel: "ExpenditurePanel", base: Mapping[Cat
 # as another type such as `!!int 5`, a section that is not a list, a missing
 # key) is a SpecInvalidError naming it in `field`, e.g. rules[0].target.
 
-_VALUE = (
-    "a single value as text, not a list, mapping, null or other tagged type",
-    lambda v: isinstance(v, str),
-)
+_VALUE = ("a single value as text, not a list, mapping, null or other tagged type", STRING[1])
 _SPEC_SHAPE = {
     "rules": [{"target": _VALUE, "kind": _VALUE, "source?": _VALUE, "sources?": [_VALUE],
                "peer?": _VALUE, "notes?": _VALUE}],

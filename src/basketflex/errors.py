@@ -204,55 +204,69 @@ class UsageError(BasketflexError):
 #
 # A shape is a dict (a JSON object whose keys ending in "?" may be absent), a
 # one-element list (a JSON list of values of that shape) or a
-# (description, predicate) pair for a single value.
+# (description, read) pair for a single value: ``read`` returns what the value
+# reads as, and raises TypeError, ValueError or ArithmeticError on one it refuses.
 
 
-def parses(parse):
-    """A predicate: does ``parse`` accept the value?"""
+def only(test):
+    """A read that returns each value ``test`` passes and refuses the rest."""
 
-    def ok(value) -> bool:
-        try:
-            parse(value)
-        except (AttributeError, TypeError, ValueError, ArithmeticError):
-            return False
-        return True
+    def read(value):
+        if test(value):
+            return value
+        raise ValueError(value)
 
-    return ok
+    return read
 
 
-STRING = ("a string", lambda v: isinstance(v, str))
+def is_number(value) -> bool:
+    """Is ``value`` a finite number: not a bool, nan, inf or an integer beyond float range?"""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _date_pair(value) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(value)
+    return parse_date(value[0]), parse_date(value[1])
+
+
+STRING = ("a string", only(lambda v: isinstance(v, str)))
 STRINGS = [STRING]
-# not a bool, nan, inf or an integer beyond float range
-NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
-BOOL = ("true or false", lambda v: isinstance(v, bool))
-MONTH = ("a month as YYYY-MM", parses(Month.parse))
-DATE_PAIR = ("a [start, end] pair of dates as YYYY-MM-DD",
-             lambda v: isinstance(v, list) and len(v) == 2 and all(map(parses(parse_date), v)))
+NUMBER = ("a finite number", only(is_number))
+BOOL = ("true or false", only(lambda v: isinstance(v, bool)))
+MONTH = ("a month as YYYY-MM", Month.parse)
+DATE_PAIR = ("a [start, end] pair of dates as YYYY-MM-DD", _date_pair)
 
 
-def check_shape(value, shape, error: type, field: str = "") -> None:
-    """Raise ``error`` naming the first part of ``value`` not of ``shape``.
+def check_shape(value, shape, error: type, field: str = ""):
+    """``value`` as ``shape`` reads it: an object as a dict of only the members
+    the shape names, a list as a tuple and a single value as its read gives it.
 
-    The error's ``field`` is the path to that part, e.g. ``items[0].id``, or
-    None when the document itself is not of its shape.
+    Raises ``error`` naming the first part of ``value`` not of ``shape``. The
+    error's ``field`` is the path to that part, e.g. ``items[0].id``, or None
+    when the document itself is not of its shape.
     """
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             raise _shape_error(error, field, f"must be an object, got {reprlib.repr(value)}")
+        read = {}
         for key, sub in shape.items():
             name = key.rstrip("?")
             where = f"{field}.{name}" if field else name
             if name in value:
-                check_shape(value[name], sub, error, where)
+                read[name] = check_shape(value[name], sub, error, where)
             elif name == key:
                 raise _shape_error(error, where, "is missing")
-    elif isinstance(shape, list):
+        return read
+    if isinstance(shape, list):
         if not isinstance(value, list):
             raise _shape_error(error, field, f"must be a list, got {reprlib.repr(value)}")
-        for k, item in enumerate(value):
-            check_shape(item, shape[0], error, f"{field}[{k}]")
-    elif not shape[1](value):
-        raise _shape_error(error, field, f"must be {shape[0]}, got {reprlib.repr(value)}")
+        return tuple(check_shape(item, shape[0], error, f"{field}[{k}]")
+                     for k, item in enumerate(value))
+    try:
+        return shape[1](value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise _shape_error(error, field, f"must be {shape[0]}, got {reprlib.repr(value)}") from None
 
 
 def _shape_error(error: type, field: str, reason: str) -> BasketflexError:

@@ -30,8 +30,8 @@ class Month(_Month):
 
     @classmethod
     def parse(cls, text: str) -> "Month":
-        """Parse the 'YYYY-MM' form used in all file formats."""
-        m = _MONTH_RE.fullmatch(text.strip())
+        """Parse the 'YYYY-MM' form used in all file formats, with no blanks around it."""
+        m = _MONTH_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"expected a month as YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))

@@ -24,9 +24,7 @@ from decimal import Decimal, localcontext
 from typing import Mapping, NamedTuple
 
 from .core import WeightVector, normalize_weights
-from .errors import (
-    MONTH, STRING, InvalidEconomySpecError, MonthOutOfRangeError, check_shape, parses,
-)
+from .errors import MONTH, STRING, InvalidEconomySpecError, MonthOutOfRangeError, check_shape
 from .ingest import AMOUNT_LIMIT, _plain
 from .periods import Month, month_range
 
@@ -79,8 +77,8 @@ class SyntheticItem(NamedTuple):
     """
 
     id: str
-    base_price: Decimal
-    base_quantity: Decimal
+    base_price: Decimal = _ONE
+    base_quantity: Decimal = _ONE
     label: str = ""
     categories: tuple[tuple[str, Decimal], ...] | None = None
 
@@ -382,7 +380,7 @@ def generate(spec: SyntheticEconomySpec) -> GeneratedFiles:
 #
 # Numeric values are strings so they stay exact decimals; `months`,
 # `base_months`, `seed` and `max_records_per_month` are JSON integers. The
-# shape table below checks everything but those four, which
+# shape table below reads everything but those four, which
 # `SyntheticEconomySpec.validate` checks, as it also guards specs built in Python.
 
 
@@ -396,24 +394,27 @@ def _decimal(value) -> Decimal:
     return d
 
 
-_DECIMAL = ("a decimal string or number", parses(_decimal))
-_DECIMALS = (
-    "an object of decimal strings or numbers",
-    lambda v: isinstance(v, dict) and all(map(_DECIMAL[1], v.values())),
-)
+def _decimal_object(value) -> dict[str, Decimal]:
+    if not isinstance(value, dict):
+        raise TypeError(value)
+    return {key: _decimal(v) for key, v in value.items()}
+
+
+_DECIMAL = ("a decimal string or number", _decimal)
+_DECIMALS = ("an object of decimal strings or numbers", _decimal_object)
+_INTEGER = ("an integer", lambda v: v)  # checked by validate
 _ECONOMY_SHAPE = {
-    "items": [{"id": STRING, "label?": STRING, "base_price?": _DECIMAL,
-               "base_quantity?": _DECIMAL, "categories?": _DECIMALS}],
-    "months": ("an integer", lambda v: True),  # as the other three, checked by validate
+    "items": [{"id": STRING, "label?": STRING, "base_price?": _DECIMAL, "base_quantity?": _DECIMAL,
+               "categories?": (_DECIMALS[0], lambda v: tuple(_decimal_object(v).items()))}],
+    "months": _INTEGER,
     "start?": MONTH,
+    "base_months?": _INTEGER,
     "base_drifts?": _DECIMALS,
     "shock_windows?": [{"start": MONTH, "end": MONTH,
                         "quantity_multipliers?": _DECIMALS, "price_drifts?": _DECIMALS}],
+    "seed?": _INTEGER,
+    "max_records_per_month?": _INTEGER,
 }
-
-
-def _decimals(mapping: Mapping) -> dict[str, Decimal]:
-    return {key: _decimal(value) for key, value in mapping.items()}
 
 
 def parse_economy(text: str) -> SyntheticEconomySpec:
@@ -426,38 +427,10 @@ def parse_economy(text: str) -> SyntheticEconomySpec:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also integers too long to convert
         raise InvalidEconomySpecError(f"not valid JSON: {exc}")
-    check_shape(doc, _ECONOMY_SHAPE, InvalidEconomySpecError)
-    items = tuple(
-        SyntheticItem(
-            id=entry["id"],
-            base_price=_decimal(entry.get("base_price", "1")),
-            base_quantity=_decimal(entry.get("base_quantity", "1")),
-            label=entry.get("label", ""),
-            categories=(
-                tuple(_decimals(entry["categories"]).items()) if "categories" in entry else None
-            ),
-        )
-        for entry in doc["items"]
-    )
-    windows = tuple(
-        ShockWindow(
-            start=Month.parse(w["start"]),
-            end=Month.parse(w["end"]),
-            quantity_multipliers=_decimals(w.get("quantity_multipliers", {})),
-            price_drifts=_decimals(w.get("price_drifts", {})),
-        )
-        for w in doc.get("shock_windows", ())
-    )
-    spec = SyntheticEconomySpec(
-        items=items,
-        months=doc["months"],
-        start=Month.parse(doc.get("start", "2020-01")),
-        base_months=doc.get("base_months", 2),
-        shock_windows=windows,
-        base_drifts=_decimals(doc.get("base_drifts", {})),
-        seed=doc.get("seed", 0),
-        max_records_per_month=doc.get("max_records_per_month", 5),
-    )
+    doc = check_shape(doc, _ECONOMY_SHAPE, InvalidEconomySpecError)
+    doc["items"] = tuple(SyntheticItem(**entry) for entry in doc["items"])
+    doc["shock_windows"] = tuple(ShockWindow(**w) for w in doc.get("shock_windows", ()))
+    spec = SyntheticEconomySpec(**doc)
     spec.validate()
     return spec
 

@@ -206,9 +206,12 @@ def test_run_config_errors_exit_2(example_dir, tmp_path, flags, manifest_field):
         ({"base_months": "2020-01"}, "base_months"),
         ({"core_exclude": "energy"}, "core_exclude"),
         ({"per_day_base": "false"}, "per_day_base"),
+        ({"core_exclude": ["food", 5]}, "core_exclude[1]"),
+        ({"base_months": [" 2020-01 ", "2020-02"]}, "base_months[0]"),
     ],
     ids=["top-level-list", "lockdown-not-a-pair", "non-string-fixed-month",
-         "string-base-months", "string-core-exclude", "string-per-day-base"],
+         "string-base-months", "string-core-exclude", "string-per-day-base",
+         "number-in-core-exclude", "padded-base-month"],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_malformed_manifest_shape_exits_2(example_dir, tmp_path, command, shape, field):
@@ -901,6 +904,9 @@ def test_printed_lines_never_fail_to_encode(example_dir, example_manifest, examp
         annual_pct=float("1e400"))),
     ("weights.adjusted[0].shares", lambda d: d["weights"]["adjusted"][0]["shares"].update(
         food=10**400)),
+    ("config.core_exclusions[1]", lambda d: d["config"].update(core_exclusions=["food", 5])),
+    ("periods[1]", lambda d: d["periods"].__setitem__(1, " 2020-02 ")),
+    ("bias[0].period", lambda d: d["bias"][0].update(period="2020-02 ")),
 ])
 def test_compare_names_the_bad_result_field(example_result_text, tmp_path, field, mangle):
     doc = json.loads(example_result_text)
@@ -1029,9 +1035,44 @@ def test_run_empty_flag_exits_2_instead_of_using_the_manifest(example_dir, tmp_p
         args += ["--out", str(tmp_path / "out")]
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr
-    assert "internal" not in json.loads(proc.stderr.strip().splitlines()[-1])
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert (report["error"], report["field"]) == ("ConfigError", flag[2:].replace("-", "_"))
+    assert "internal" not in report
     assert not (tmp_path / "from-manifest").exists()
     assert not (tmp_path / "out" / "scenario_result.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "compare"])
+def test_an_empty_out_flag_exits_2_and_writes_nothing(example_dir, example_result_text,
+                                                      tmp_path, monkeypatch, capsys, command):
+    # generate wrote its three files into the working directory, compare nothing, both exit 0
+    result = tmp_path / "scenario_result.json"
+    result.write_text(example_result_text)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    args = {"generate": ["generate", "--economy", str(example_dir / "economy.json")],
+            "compare": ["compare", str(result), "--period", "2020-05"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--out", ""])
+    assert exc.value.code == 2
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (report["error"], report["field"]) == ("ConfigError", "out")
+    assert "internal" not in report
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("period", ["2020-5", " 2020-05 ", "2020-05 "])
+def test_compare_refuses_a_period_not_written_yyyy_mm(example_result_text, tmp_path, period):
+    result = tmp_path / "scenario_result.json"
+    result.write_text(example_result_text)
+    with pytest.raises(ConfigError, match="must be a month as YYYY-MM") as exc:
+        cli.dispatch(["compare", str(result), "--period", period])
+    assert exc.value.field == "period"
+    proc = run_cli("compare", str(result), "--period", period)
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert (report["error"], report["field"]) == ("ConfigError", "period")
 
 
 def _manifest_file(example_dir, tmp_path, **changes) -> str:

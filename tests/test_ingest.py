@@ -314,6 +314,13 @@ def test_load_prices_builds_series():
     assert series["food"].at(Month(2020, 2)) == 0.99
 
 
+def test_load_prices_reads_a_period_with_blanks_around_it():
+    # the CSV readers strip each field; Month.parse itself takes no blanks
+    text = "item,period,relative\nfood, 2020-01 ,1.01\nfood,2020-02 , 0.99\n"
+    series = ingest.load_prices(io.StringIO(text))
+    assert (series["food"].start, series["food"].at(Month(2020, 2))) == (Month(2020, 1), 0.99)
+
+
 def test_load_prices_zero_relative_errors():
     with pytest.raises(NonPositivePriceError):
         ingest.load_prices(io.StringIO("item,period,relative\nfood,2020-01,0\n"))

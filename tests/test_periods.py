@@ -14,7 +14,8 @@ def test_parse_and_str_round_trip():
 
 # the last two in Arabic-Indic digits, which a regex ``\d`` would match
 @pytest.mark.parametrize("bad", ["2020-3", "202003", "2020-13", "march 2020", "",
-                                 "\u0662\u0660\u0662\u0660-01", "2020-\u0660\u0661"])
+                                 "\u0662\u0660\u0662\u0660-01", "2020-\u0660\u0661",
+                                 " 2020-01", "2020-01 ", "2020-01\n"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         Month.parse(bad)
