@@ -23,10 +23,8 @@ import logging
 from decimal import Decimal
 from math import isfinite
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
-from . import crosswalk as cw
-from . import ingest
 from .core import (
     BiasPoint,
     ExpenditureRelativeVector,
@@ -48,6 +46,7 @@ from .errors import (
     NUMBER,
     STRING,
     STRINGS,
+    BasketflexError,
     ConfigError,
     FixedMonthOutOfRangeError,
     MissingPriceRelativeError,
@@ -58,8 +57,12 @@ from .errors import (
     check_shape,
     is_number,
     only,
+    shape_error,
 )
 from .periods import Month, month_range
+
+if TYPE_CHECKING:  # imported where a scenario is run, so that compare loads neither
+    from . import crosswalk as cw, ingest
 
 ANNUAL_METHODS = ("chained", "fixed_base")
 
@@ -187,6 +190,8 @@ def check_scenario(
     FixedMonthOutOfRangeError, and UnknownItemError or AllItemsExcludedError
     for the core exclusions.
     """
+    from . import crosswalk as cw, ingest
+
     findings = cw.validate(spec, set(weights.shares), panel.categories)
     if findings:
         raise SpecInvalidError(findings)
@@ -237,6 +242,8 @@ def run_scenario(
     :func:`price_scenario`; ``run`` makes the three calls itself to release
     the panel before pricing.
     """
+    from . import crosswalk as cw
+
     checked = check_scenario(config, weights, prices, panel, spec)
     relatives = cw.apply(spec, panel, checked.base, config.per_day_base, checked.axis)
     return price_scenario(config, weights, checked, relatives)
@@ -411,24 +418,151 @@ _RESULT_SHAPE = {
 }
 
 
-def result_from_dict(doc: Mapping) -> ScenarioResult:
-    """Rebuild a scenario result from its JSON form.
+_CHUNK = 1 << 16  # the characters ``read_result`` reads at a time
+_BLANKS = json.decoder.WHITESPACE.match
+_DECODE = json.JSONDecoder().raw_decode
+_TYPES = ((_VECTOR, WeightVector), (_POINT, InflationPoint), (_BIAS, BiasPoint))
 
-    A document of another ``schema``, or with a field missing, of the wrong
-    JSON type or that does not read (a month with blanks around it), raises
-    ``ResultFieldError`` naming the field, e.g. ``weights.official[0].shares``.
+
+class _Text:
+    """A JSON text read from ``fh`` as needed: ``buf[pos:]`` is read and not
+    yet consumed, and ``buf`` starts at character ``start`` of the text."""
+
+    def __init__(self, fh) -> None:
+        self.fh, self.buf, self.pos, self.start, self.eof = fh, "", 0, 0, False
+
+    def more(self, need: int = 1) -> bool:
+        """Read until ``need`` characters are unconsumed or the text ends; whether any were."""
+        parts, held = [self.buf[self.pos:]], len(self.buf) - self.pos
+        self.start, self.pos, unread = self.start + self.pos, 0, held
+        while held < need and not self.eof:
+            parts.append(self.fh.read(_CHUNK))
+            self.eof, held = not parts[-1], held + len(parts[-1])
+        self.buf = "".join(parts)
+        return held > unread
+
+    def peek(self) -> str:
+        """The next character that is not a JSON blank, "" at the end of the text."""
+        while True:
+            self.pos = _BLANKS(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def take(self, char: str, expecting: str = "',' delimiter") -> None:
+        if self.peek() != char:
+            raise json.JSONDecodeError(f"Expecting {expecting}", self.buf, self.pos)
+        self.pos += 1
+
+    def value(self):
+        """The next JSON value, decoded whole."""
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODE(self.buf, self.pos)
+                if end + 2 < len(self.buf) or self.eof:  # else a number may go on: "1.", "1e-"
+                    self.pos = end
+                    return value
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+            self.more(2 * (len(self.buf) - self.pos))
+
+    def members(self, close: str) -> Iterator[None]:
+        """Yield before each member of the object or list that opens here."""
+        self.pos += 1
+        if self.peek() != close:
+            yield
+            while self.peek() == ",":
+                self.pos += 1
+                yield
+        self.take(close)
+
+
+def _first(errors: list) -> Exception | None:
+    """The one of ``errors``, in checking order, raised first: shape errors come before others."""
+    shape_errors = [e for e in errors if isinstance(e, ResultFieldError)]
+    return next(filter(None, shape_errors or errors), None)
+
+
+def _read(text: _Text, shape, field: str, keep) -> tuple:
+    """The next value of ``text`` as ``check_shape`` reads it, and ``_first``
+    of its errors. Objects and lists of ``shape`` are read a member at a
+    time; each list element is decoded whole, checked, built into its value
+    type and dropped unless ``keep`` is None or names its list."""
+    if isinstance(shape, dict) and text.peek() == "{":
+        subs = {key.rstrip("?"): (key, f"{field}.{key}".strip(".?")) for key in shape}
+        read, errors = {}, {}
+        for _ in text.members("}"):
+            if text.peek() != '"':
+                text.take('"', "property name enclosed in double quotes")
+            name = text.value()
+            text.take(":", "':' delimiter")
+            if name in subs:  # a repeated name takes its last value, as in json.load
+                key, where = subs[name]
+                read[name], errors[name] = _read(text, shape[key], where, keep)
+            else:
+                text.value()
+        for name, (key, where) in subs.items():
+            if name == key and name not in read:
+                errors[name] = shape_error(ResultFieldError, where, "is missing")
+        return read, _first([errors.get(name) for name in subs])
+    if isinstance(shape, list) and text.peek() == "[":
+        build = next((t for s, t in _TYPES if s is shape[0]), None)
+        values, error = [], None
+        for k, _ in enumerate(text.members("]")):
+            value = text.value()
+            if isinstance(error, ResultFieldError):  # no later element's error comes first
+                continue
+            try:
+                value = check_shape(value, shape[0], ResultFieldError, f"{field}[{k}]")
+                value = build(**value) if build and not error else value
+            except (BasketflexError, ValueError) as exc:
+                error = _first([error, exc])
+            if not build or keep is None or field in keep:
+                values.append(value)
+        return tuple(values), error
+    value = text.value()
+    try:
+        return check_shape(value, shape, ResultFieldError, field), None
+    except ResultFieldError as exc:
+        return None, exc
+
+
+def read_result(fh, keep: Collection[str] | None = None) -> ScenarioResult:
+    """Read a scenario result from the JSON text of ``fh``, a chunk at a time.
+
+    Every weight vector, inflation point and bias point is checked and built as
+    it is read; a list that ``keep`` does not name (``"bias"``,
+    ``"series.official"``, ...) is then left empty, unless ``keep`` is None.
+
+    Text that is not JSON raises ``BasketflexError`` "not valid JSON". Else
+    the error is the first that checking the whole document finds: a
+    ``ResultFieldError`` naming a field (``weights.official[0].shares``) that
+    is missing, of the wrong JSON type or that does not read, or ``schema``
+    if it is another; then one of ``ScenarioConfig``; then one of a value type.
     """
-    doc = check_shape(doc, _RESULT_SHAPE, ResultFieldError)
+    text = _Text(fh)
+    try:
+        doc, error = _read(text, _RESULT_SHAPE, "", keep)
+        if text.peek():
+            raise json.JSONDecodeError("Extra data", text.buf, text.pos)
+    except (ValueError, RecursionError) as exc:  # also a bad byte, long integer, deep nesting
+        where = (f"{exc.msg}: character {text.start + exc.pos}"
+                 if isinstance(exc, json.JSONDecodeError) else exc)
+        raise BasketflexError(f"{getattr(fh, 'name', 'text')}: not valid JSON: {where}") from exc
+    if isinstance(error, ResultFieldError):
+        raise error
+    config = ScenarioConfig(country_label=doc.get("country", ""), **doc["config"])
+    if error:
+        raise error
     weights, series = doc["weights"], doc["series"]
-    return ScenarioResult(
-        config=ScenarioConfig(country_label=doc.get("country", ""), **doc["config"]),
-        periods=doc["periods"],
-        official_weights=tuple(WeightVector(**e) for e in weights["official"]),
-        adjusted_weights=tuple(WeightVector(**e) for e in weights["adjusted"]),
-        **{name: tuple(InflationPoint(**e) for e in series[name]) for name in SERIES_NAMES},
-        bias=tuple(BiasPoint(**e) for e in doc["bias"]),
-        core_bias=tuple(BiasPoint(**e) for e in doc["core_bias"]),
-    )
+    return ScenarioResult(config, doc["periods"], weights["official"], weights["adjusted"],
+                          *map(series.get, SERIES_NAMES), doc["bias"], doc["core_bias"])
+
+
+def result_from_dict(doc: Mapping) -> ScenarioResult:
+    """Rebuild a scenario result from its JSON form: ``read_result`` of its text."""
+    return read_result(io.StringIO(json.dumps(doc)))
 
 
 def _fmt(x: float | None) -> str:

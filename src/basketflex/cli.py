@@ -8,7 +8,8 @@ rename) and are byte-identical across runs for identical inputs. Set
 ``BASKETFLEX_LOG`` to ``debug``, ``info``, ``warning``, ``error`` or
 ``critical`` (any case; anything else means ``warning``) to control verbosity.
 
-Arguments are parsed with :mod:`argparse`; only ``generate`` imports ``synth``.
+Arguments are parsed with :mod:`argparse`; only ``generate`` imports ``synth``,
+and only ``run`` and ``validate`` import ``ingest`` and ``crosswalk``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from . import analysis, crosswalk, ingest
+from . import analysis
 from .analysis import RESULT_JSON, ScenarioConfig
 from .errors import (
     BOOL,
@@ -38,6 +39,7 @@ from .errors import (
     UsageError,
     check_shape,
     only,
+    shape_error,
 )
 from .periods import Month
 
@@ -195,16 +197,12 @@ _FIELDS = (
 _MANIFEST_SHAPE = {f"{f.key}?": f.kind.shape for f in _FIELDS}
 
 
-def _read_json(path: Path):
+def _read_manifest(path: Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except (ValueError, RecursionError) as exc:  # decode errors, unconvertible numbers
             raise BasketflexError(f"{path}: not valid JSON: {exc}")
-
-
-def _read_manifest(path: Path) -> dict:
-    doc = _read_json(path)
     if isinstance(doc, dict):
         doc = {k: v for k, v in doc.items() if v is not None}
         if isinstance(doc.get("lockdowns"), str):  # the flag's form
@@ -213,12 +211,14 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _read_result(path: Path) -> analysis.ScenarioResult:
-    try:
-        return analysis.result_from_dict(_read_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        err = BasketflexError(f"{path}: not a scenario result file ({exc})")
-        err.field = getattr(exc, "field", None)
-        raise err
+    """The result file at ``path``, read a chunk at a time, with its bias rows kept."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return analysis.read_result(fh, keep=("bias",))
+        except (KeyError, TypeError, ValueError) as exc:
+            err = BasketflexError(f"{path}: not a scenario result file ({exc})")
+            err.field = getattr(exc, "field", None)
+            raise err
 
 
 def _manifest_from(manifest_path: Path | None, **flags) -> SimpleNamespace:
@@ -262,9 +262,12 @@ def _manifest_from(manifest_path: Path | None, **flags) -> SimpleNamespace:
 
 
 def _load_inputs(m: SimpleNamespace):
+    from . import crosswalk, ingest  # not imported by compare or generate
+
     for name, path in m.inputs.items():
         if path is None:
-            raise BasketflexError(f"no {name} file given (flag or manifest)")
+            raise shape_error(ConfigError, name,
+                              f"is missing: no {name} file given (flag or manifest)")
     weights = _load(ingest.load_weights, m.inputs["weights"])
     prices = _load(ingest.load_prices, m.inputs["prices"])
     panel = _load(
@@ -302,10 +305,13 @@ def _flag(f: _Field):
 @_command("run", _MANIFEST_OPTION, *map(_flag, _FIELDS))
 def cmd_run(manifest, **flags) -> None:
     """Run a scenario and write result files into --out."""
+    from . import crosswalk
+
     m = _manifest_from(manifest, **flags)
     config = m.config
     if m.out is None:
-        raise BasketflexError("no output directory given (flag or manifest)")
+        raise shape_error(ConfigError, "out",
+                          "is missing: no output directory given (flag or manifest)")
     # the panel and spec are freed before pricing, the other inputs before writing
     weights, prices, panel, spec = _load_inputs(m)
     with _about(m.inputs["crosswalk"], SpecInvalidError):
@@ -327,6 +333,8 @@ def cmd_run(manifest, **flags) -> None:
 @_command("validate", _MANIFEST_OPTION, *(_flag(f) for f in _FIELDS if f.key != "out"))
 def cmd_validate(manifest, **flags) -> None:
     """Check inputs and crosswalk coverage without running anything."""
+    from . import crosswalk
+
     m = _manifest_from(manifest, **flags)
     config = m.config
     weights, prices, panel, spec = _load_inputs(m)

@@ -248,7 +248,7 @@ def check_shape(value, shape, error: type, field: str = ""):
     """
     if isinstance(shape, dict):
         if not isinstance(value, dict):
-            raise _shape_error(error, field, f"must be an object, got {reprlib.repr(value)}")
+            raise shape_error(error, field, f"must be an object, got {reprlib.repr(value)}")
         read = {}
         for key, sub in shape.items():
             name = key.rstrip("?")
@@ -256,20 +256,20 @@ def check_shape(value, shape, error: type, field: str = ""):
             if name in value:
                 read[name] = check_shape(value[name], sub, error, where)
             elif name == key:
-                raise _shape_error(error, where, "is missing")
+                raise shape_error(error, where, "is missing")
         return read
     if isinstance(shape, list):
         if not isinstance(value, list):
-            raise _shape_error(error, field, f"must be a list, got {reprlib.repr(value)}")
+            raise shape_error(error, field, f"must be a list, got {reprlib.repr(value)}")
         return tuple(check_shape(item, shape[0], error, f"{field}[{k}]")
                      for k, item in enumerate(value))
     try:
         return shape[1](value)
     except (TypeError, ValueError, ArithmeticError):
-        raise _shape_error(error, field, f"must be {shape[0]}, got {reprlib.repr(value)}") from None
+        raise shape_error(error, field, f"must be {shape[0]}, got {reprlib.repr(value)}") from None
 
 
-def _shape_error(error: type, field: str, reason: str) -> BasketflexError:
+def shape_error(error: type, field: str, reason: str) -> BasketflexError:
     exc = error(f"field {field!r} {reason}" if field else f"the document {reason}")
     exc.field = field or None
     return exc

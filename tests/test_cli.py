@@ -806,13 +806,15 @@ from basketflex.cli import main
 try:
     main()
 finally:
-    print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+    print(sorted({"dataclasses", "inspect", "basketflex.crosswalk", "basketflex.ingest"}
+                 & (set(sys.modules) - before)))
 """
 
 
 @pytest.mark.parametrize("command", ["run", "validate", "compare", "generate"])
 def test_commands_import_neither_dataclasses_nor_inspect(example_dir, tmp_path, command):
-    # value types are NamedTuples: `import dataclasses` would pull in `inspect`
+    # value types are NamedTuples: `import dataclasses` would pull in `inspect`;
+    # compare reads only results, so it loads neither ingest nor crosswalk
     manifest = str(example_dir / "manifest.json")
     result = tmp_path / "run" / "scenario_result.json"
     if command == "compare":
@@ -829,7 +831,8 @@ def test_commands_import_neither_dataclasses_nor_inspect(example_dir, tmp_path, 
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, command, *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    run_modules = "['basketflex.crosswalk', 'basketflex.ingest']"
+    assert proc.stdout.splitlines()[-1] == ("[]" if command == "compare" else run_modules)
 
 
 def test_public_names_and_submodules_resolve_on_access():
@@ -1113,6 +1116,22 @@ def test_empty_manifest_values_that_are_errors(example_dir, tmp_path, changes, e
     with pytest.raises(error, match=message):
         cli.dispatch(["run", "--manifest", manifest])
     assert not (tmp_path / "out" / "scenario_result.json").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    *(("run", key) for key in ("weights", "prices", "expenditures", "crosswalk", "out")),
+    *(("validate", key) for key in ("weights", "prices", "expenditures", "crosswalk")),
+])
+def test_a_missing_input_or_output_names_its_field(example_dir, tmp_path, capsys, command, key):
+    out = {} if key == "out" else {"out": str(tmp_path / "out")}
+    manifest = _manifest_file(example_dir, tmp_path, **out, **{key: None})
+    with pytest.raises(SystemExit) as caught:
+        cli.main([command, "--manifest", manifest])
+    assert caught.value.code == 2
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == "ConfigError" and report["field"] == key, report
+    assert "given (flag or manifest)" in report["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field, value", [
